@@ -229,40 +229,6 @@ impl Accelerator {
                     });
                     vec![n, oc, oh, ow]
                 }
-                IntOp::Conv2dPacked { weight, spec, weight_spec, .. } => {
-                    // Prepacking is a host-side layout change: the MAC
-                    // array sees the same dense schedule, so the trace is
-                    // identical to the equivalent `Conv2d` node.
-                    let xin = in_shape(0);
-                    let (n, _c, h, w) = (xin[0], xin[1], xin[2], xin[3]);
-                    let k = weight.kh;
-                    let oh = spec.out_extent(h, k).map_err(AccelError::Tensor)?;
-                    let ow = spec.out_extent(w, k).map_err(AccelError::Tensor)?;
-                    let (oc, cg) = (weight.oc, weight.cg);
-                    let numel = weight.logical_numel();
-                    let nz = numel - weight.count_zeros();
-                    let macs_dense = (n * oc * oh * ow * cg * k * k) as u64;
-                    let macs = if cfg.zero_skipping {
-                        (macs_dense as f64 * nz as f64 / numel.max(1) as f64) as u64
-                    } else {
-                        macs_dense
-                    };
-                    let tiles =
-                        (oc.div_ceil(cfg.pe_rows) * (n * oh * ow).div_ceil(cfg.pe_cols)) as u64;
-                    let inner = if cfg.zero_skipping {
-                        (((cg * k * k) as f64) * nz as f64 / numel.max(1) as f64).ceil() as u64
-                    } else {
-                        (cg * k * k) as u64
-                    };
-                    trace.layers.push(LayerTrace {
-                        name: node.name.clone(),
-                        macs,
-                        cycles: tiles * inner.max(1),
-                        weight_bytes: (nz * weight_spec.bits as usize).div_ceil(8) as u64,
-                        activation_bytes: (xin.iter().product::<usize>() + n * oc * oh * ow) as u64,
-                    });
-                    vec![n, oc, oh, ow]
-                }
                 IntOp::Linear { weight, weight_spec, .. } => {
                     let xin = in_shape(0);
                     let rows: usize = xin[..xin.len() - 1].iter().product();
@@ -278,38 +244,6 @@ impl Accelerator {
                     let tiles = (dout.div_ceil(cfg.pe_rows) * rows.div_ceil(cfg.pe_cols)) as u64;
                     let inner = if cfg.zero_skipping {
                         ((din as f64) * nz as f64 / weight.numel().max(1) as f64).ceil() as u64
-                    } else {
-                        din as u64
-                    };
-                    trace.layers.push(LayerTrace {
-                        name: node.name.clone(),
-                        macs,
-                        cycles: tiles * inner.max(1),
-                        weight_bytes: (nz * weight_spec.bits as usize).div_ceil(8) as u64,
-                        activation_bytes: (rows * (din + dout)) as u64,
-                    });
-                    let mut out = xin.clone();
-                    *out.last_mut().expect("non-empty shape") = dout;
-                    out
-                }
-                IntOp::LinearPacked { weight, weight_spec, .. } => {
-                    // Same dense-equivalent accounting as `Linear`: the
-                    // panel layout only changes host memory traversal.
-                    let xin = in_shape(0);
-                    let rows: usize = xin[..xin.len() - 1].iter().product();
-                    let din = weight.k;
-                    let dout = weight.n;
-                    let numel = weight.logical_numel();
-                    let nz = numel - weight.count_zeros();
-                    let macs_dense = (rows * dout * din) as u64;
-                    let macs = if cfg.zero_skipping {
-                        (macs_dense as f64 * nz as f64 / numel.max(1) as f64) as u64
-                    } else {
-                        macs_dense
-                    };
-                    let tiles = (dout.div_ceil(cfg.pe_rows) * rows.div_ceil(cfg.pe_cols)) as u64;
-                    let inner = if cfg.zero_skipping {
-                        ((din as f64) * nz as f64 / numel.max(1) as f64).ceil() as u64
                     } else {
                         din as u64
                     };

@@ -8,10 +8,7 @@
 //! needs, and the export crate serializes exactly this structure.
 
 use t2c_tensor::ops::{conv2d_i32, Conv2dSpec, PoolSpec};
-use t2c_tensor::{
-    conv2d_i32_packed, matmul_i32_sat_packed, matmul_sparse_i, PackedConv, PackedMat,
-    SparseEncoding, SparseMat, Tensor, TensorError,
-};
+use t2c_tensor::{matmul_sparse_i, SparseEncoding, SparseMat, Tensor, TensorError};
 
 use crate::fixed::{round_shift, FixedScalar};
 use crate::lut::{isqrt, GeluLut, SoftmaxLut};
@@ -135,39 +132,6 @@ pub enum IntOp {
         /// Grid the weights live on.
         weight_spec: QuantSpec,
     },
-    /// Integer convolution over a prepacked weight — produced by
-    /// [`IntModel::prepack`] from a dense [`IntOp::Conv2d`]. Bit-identical
-    /// to the dense op on the unpacked weights; only the storage layout and
-    /// the kernel's cache blocking differ.
-    Conv2dPacked {
-        /// Prepacked `[OC, C/g, K, K]` weights (column-panel tiles).
-        weight: PackedConv,
-        /// Accumulator-domain bias (length OC).
-        bias: Option<Vec<i64>>,
-        /// Geometry.
-        spec: Conv2dSpec,
-        /// The fused requantizer.
-        requant: MulQuant,
-        /// Integer ReLU before the output clamp.
-        relu: bool,
-        /// Grid the weights live on (for size accounting).
-        weight_spec: QuantSpec,
-    },
-    /// Integer linear layer over a prepacked weight — produced by
-    /// [`IntModel::prepack`] from a dense [`IntOp::Linear`]. Bit-identical
-    /// to the dense op on the unpacked weights.
-    LinearPacked {
-        /// Prepacked `[OUT, IN]` weights (column-panel tiles).
-        weight: PackedMat,
-        /// Accumulator-domain bias (length OUT).
-        bias: Option<Vec<i64>>,
-        /// Optional requantizer.
-        requant: Option<MulQuant>,
-        /// Integer ReLU before the clamp (requires `requant`).
-        relu: bool,
-        /// Grid the weights live on.
-        weight_spec: QuantSpec,
-    },
     /// Integer linear layer over a compressed sparse weight matrix —
     /// produced by [`IntModel::sparsify`] from a pruned [`IntOp::Linear`].
     /// Bit-identical to the dense op on the densified weights; only the
@@ -278,9 +242,7 @@ impl IntOp {
         match self {
             IntOp::Quantize { .. } => "quantize",
             IntOp::Conv2d { .. } => "conv2d_int",
-            IntOp::Conv2dPacked { .. } => "conv2d_packed",
             IntOp::Linear { .. } => "linear_int",
-            IntOp::LinearPacked { .. } => "linear_packed",
             IntOp::LinearSparse { .. } => "linear_sparse",
             IntOp::AddRequant { .. } => "add_requant",
             IntOp::AddConstRequant { .. } => "add_const_requant",
@@ -307,12 +269,10 @@ impl IntOp {
     pub fn out_spec(&self) -> Option<QuantSpec> {
         match self {
             IntOp::Quantize { spec, .. } => Some(*spec),
-            IntOp::Conv2d { requant, .. } | IntOp::Conv2dPacked { requant, .. } => {
-                Some(requant.out_spec)
+            IntOp::Conv2d { requant, .. } => Some(requant.out_spec),
+            IntOp::Linear { requant, .. } | IntOp::LinearSparse { requant, .. } => {
+                requant.as_ref().map(|r| r.out_spec)
             }
-            IntOp::Linear { requant, .. }
-            | IntOp::LinearPacked { requant, .. }
-            | IntOp::LinearSparse { requant, .. } => requant.as_ref().map(|r| r.out_spec),
             IntOp::AddRequant { out_spec, .. }
             | IntOp::AddConstRequant { out_spec, .. }
             | IntOp::BmmRequant { out_spec, .. }
@@ -529,30 +489,9 @@ impl IntModel {
                         };
                         requant_counted(requant, &acc, 1, *relu)
                     }
-                    IntOp::Conv2dPacked { weight, bias, spec, requant, relu, .. } => {
-                        let xin = operand(0)?;
-                        let acc = conv2d_i32_packed(xin, weight, *spec)?;
-                        let acc = match bias {
-                            Some(b) => add_channel_bias(&acc, b, 1),
-                            None => acc,
-                        };
-                        requant_counted(requant, &acc, 1, *relu)
-                    }
                     IntOp::Linear { weight, bias, requant, relu, .. } => {
                         let xin = operand(0)?;
                         let acc = linear_i32(xin, weight)?;
-                        let acc = match bias {
-                            Some(b) => add_channel_bias(&acc, b, acc.rank() - 1),
-                            None => acc,
-                        };
-                        match requant {
-                            Some(r) => requant_counted(r, &acc, acc.rank() - 1, *relu),
-                            None => acc,
-                        }
-                    }
-                    IntOp::LinearPacked { weight, bias, requant, relu, .. } => {
-                        let xin = operand(0)?;
-                        let acc = linear_packed_i32(xin, weight)?;
                         let acc = match bias {
                             Some(b) => add_channel_bias(&acc, b, acc.rank() - 1),
                             None => acc,
@@ -664,9 +603,7 @@ impl IntModel {
                     IntOp::Conv2d { weight, .. } => {
                         elements * (weight.dim(1) * weight.dim(2) * weight.dim(3)) as u64
                     }
-                    IntOp::Conv2dPacked { weight, .. } => elements * weight.k() as u64,
                     IntOp::Linear { weight, .. } => elements * weight.dim(1) as u64,
-                    IntOp::LinearPacked { weight, .. } => elements * weight.k as u64,
                     // Skip-zero kernel: only stored slots are multiplied.
                     IntOp::LinearSparse { weight, .. } => {
                         (elements / weight.rows.max(1) as u64) * weight.stored() as u64
@@ -687,8 +624,6 @@ impl IntModel {
                     IntOp::Conv2d { weight, .. } | IntOp::Linear { weight, .. } => {
                         weight.numel() as u64
                     }
-                    IntOp::Conv2dPacked { weight, .. } => weight.logical_numel() as u64,
-                    IntOp::LinearPacked { weight, .. } => weight.logical_numel() as u64,
                     IntOp::LinearSparse { weight, .. } => weight.stored() as u64,
                     _ => 0,
                 };
@@ -745,22 +680,8 @@ impl IntModel {
                     bits += bias.as_ref().map_or(0, |b| b.len() * 32);
                     bits += requant.size_bytes() * 8;
                 }
-                // Prepacking is a layout change, not a storage change: the
-                // panel padding is structural (all-zero, never exported), so
-                // packed nodes account the logical element count and
-                // `prepack` leaves `weight_bytes` invariant.
-                IntOp::Conv2dPacked { weight, weight_spec, bias, requant, .. } => {
-                    bits += weight.logical_numel() * weight_spec.bits as usize;
-                    bits += bias.as_ref().map_or(0, |b| b.len() * 32);
-                    bits += requant.size_bytes() * 8;
-                }
                 IntOp::Linear { weight, weight_spec, bias, requant, .. } => {
                     bits += weight.numel() * weight_spec.bits as usize;
-                    bits += bias.as_ref().map_or(0, |b| b.len() * 32);
-                    bits += requant.as_ref().map_or(0, super::mulquant::MulQuant::size_bytes) * 8;
-                }
-                IntOp::LinearPacked { weight, weight_spec, bias, requant, .. } => {
-                    bits += weight.logical_numel() * weight_spec.bits as usize;
                     bits += bias.as_ref().map_or(0, |b| b.len() * 32);
                     bits += requant.as_ref().map_or(0, super::mulquant::MulQuant::size_bytes) * 8;
                 }
@@ -808,14 +729,6 @@ impl IntModel {
                     zeros += weight.count_zeros();
                     total += weight.numel();
                 }
-                IntOp::Conv2dPacked { weight, .. } => {
-                    zeros += weight.count_zeros();
-                    total += weight.logical_numel();
-                }
-                IntOp::LinearPacked { weight, .. } => {
-                    zeros += weight.count_zeros();
-                    total += weight.logical_numel();
-                }
                 IntOp::LinearSparse { weight, .. } => {
                     zeros += weight.rows * weight.cols - weight.nnz();
                     total += weight.rows * weight.cols;
@@ -828,55 +741,6 @@ impl IntModel {
         } else {
             zeros as f32 / total as f32
         }
-    }
-
-    /// Converts dense [`IntOp::Linear`] and [`IntOp::Conv2d`] weights to
-    /// their prepacked twins ([`IntOp::LinearPacked`] /
-    /// [`IntOp::Conv2dPacked`]), returning the number of nodes converted.
-    ///
-    /// This is the serving half of the cache-blocked GEMM path: the weight
-    /// is repacked **once** into column-panel tiles so every subsequent
-    /// forward pass hits `matmul_i32_sat_packed` with no per-call
-    /// transpose. The transformation is bit-exact — packed ops run the
-    /// same per-MAC saturation chain in the same per-element order (see
-    /// `t2c_tensor::packed`) — and leaves [`IntModel::weight_bytes`] and
-    /// [`IntModel::weight_sparsity`] invariant. [`IntOp::LinearSparse`]
-    /// nodes are left untouched: their skip-zero kernel already has its
-    /// own layout, and compressing then re-densifying would forfeit it.
-    /// `t2c-serve` calls this at admission, after the lint gate passes.
-    pub fn prepack(&mut self) -> usize {
-        let mut converted = 0usize;
-        for node in &mut self.nodes {
-            let replacement = match &node.op {
-                IntOp::Linear { weight, bias, requant, relu, weight_spec } => {
-                    PackedMat::from_weight(weight).ok().map(|packed| IntOp::LinearPacked {
-                        weight: packed,
-                        bias: bias.clone(),
-                        requant: requant.clone(),
-                        relu: *relu,
-                        weight_spec: *weight_spec,
-                    })
-                }
-                IntOp::Conv2d { weight, bias, spec, requant, relu, weight_spec } => {
-                    PackedConv::from_weight(weight, spec.groups).ok().map(|packed| {
-                        IntOp::Conv2dPacked {
-                            weight: packed,
-                            bias: bias.clone(),
-                            spec: *spec,
-                            requant: requant.clone(),
-                            relu: *relu,
-                            weight_spec: *weight_spec,
-                        }
-                    })
-                }
-                _ => None,
-            };
-            if let Some(op) = replacement {
-                node.op = op;
-                converted += 1;
-            }
-        }
-        converted
     }
 
     /// Converts dense [`IntOp::Linear`] nodes whose zero-code fraction is
@@ -993,19 +857,6 @@ fn linear_i32(x: &Tensor<i32>, w: &Tensor<i32>) -> Result<Tensor<i32>> {
             flat.matmul_i(&wt)?.reshape(&[n, l, w.dim(0)])
         }
         r => Err(TensorError::RankMismatch { got: r, expected: 2, op: "linear_i32" }),
-    }
-}
-
-fn linear_packed_i32(x: &Tensor<i32>, w: &PackedMat) -> Result<Tensor<i32>> {
-    // Accepts [N, IN] or [N, L, IN]; packed rows are the OUT channels.
-    match x.rank() {
-        2 => matmul_i32_sat_packed(x, w),
-        3 => {
-            let (n, l, din) = (x.dim(0), x.dim(1), x.dim(2));
-            let flat = x.reshape(&[n * l, din])?;
-            matmul_i32_sat_packed(&flat, w)?.reshape(&[n, l, w.n])
-        }
-        r => Err(TensorError::RankMismatch { got: r, expected: 2, op: "linear_packed_i32" }),
     }
 }
 
@@ -1508,78 +1359,6 @@ mod tests {
         // Empty bias is a no-op, not an index underflow panic.
         let y3 = add_channel_bias(&acc, &[], 1);
         assert_eq!(y3.as_slice(), acc.as_slice());
-    }
-
-    #[test]
-    fn prepack_converts_dense_nodes_and_stays_bit_identical() {
-        let mut m = IntModel::new();
-        m.push("input", IntOp::Quantize { scale: 0.05, spec: QuantSpec::signed(8) }, vec![]);
-        let wc = Tensor::from_fn(&[4, 2, 3, 3], |i| (i as i32 % 9) - 4);
-        m.push(
-            "conv",
-            IntOp::Conv2d {
-                weight: wc,
-                bias: Some((0..4).map(|i| i as i64 * 7 - 10).collect()),
-                spec: Conv2dSpec::new(1, 1),
-                requant: MulQuant::from_float(
-                    &[0.05],
-                    &[0.0],
-                    FixedPointFormat::int16_frac12(),
-                    QuantSpec::signed(8),
-                ),
-                relu: true,
-                weight_spec: QuantSpec::signed(8),
-            },
-            vec![Src::Node(0)],
-        );
-        m.push("flat", IntOp::Flatten, vec![Src::Node(1)]);
-        let wf = Tensor::from_fn(&[10, 4 * 6 * 6], |i| (i as i32 % 7) - 3);
-        m.push(
-            "head",
-            IntOp::Linear {
-                weight: wf,
-                bias: Some((0..10).map(|i| i as i64 - 5).collect()),
-                requant: None,
-                relu: false,
-                weight_spec: QuantSpec::signed(8),
-            },
-            vec![Src::Node(2)],
-        );
-        let dense = m.clone();
-        let bytes = dense.weight_bytes();
-        let sparsity = dense.weight_sparsity();
-        assert_eq!(m.prepack(), 2);
-        assert_eq!(m.nodes[1].op.label(), "conv2d_packed");
-        assert_eq!(m.nodes[3].op.label(), "linear_packed");
-        // Prepacking is pure layout: storage accounting and the sparsity
-        // audit are invariant, and outputs are bit-identical.
-        assert_eq!(m.weight_bytes(), bytes);
-        assert!((m.weight_sparsity() - sparsity).abs() < 1e-7);
-        let x = Tensor::from_fn(&[2, 2, 6, 6], |i| (i as f32) * 0.013 - 0.4);
-        assert_eq!(m.run(&x).unwrap().as_slice(), dense.run(&x).unwrap().as_slice());
-        // Re-packing an already-packed model is a no-op.
-        assert_eq!(m.prepack(), 0);
-    }
-
-    #[test]
-    fn prepack_leaves_sparse_nodes_untouched() {
-        let mut m = IntModel::new();
-        m.push("input", IntOp::Quantize { scale: 0.1, spec: QuantSpec::signed(8) }, vec![]);
-        let w = Tensor::from_fn(&[6, 8], |i| if i % 4 < 2 { (i as i32 % 5) - 2 } else { 0 });
-        m.push(
-            "fc",
-            IntOp::Linear {
-                weight: w,
-                bias: None,
-                requant: None,
-                relu: false,
-                weight_spec: QuantSpec::signed(4),
-            },
-            vec![Src::Node(0)],
-        );
-        assert_eq!(m.sparsify(0.3), 1);
-        assert_eq!(m.prepack(), 0, "sparse nodes must keep their skip-zero layout");
-        assert_eq!(m.nodes[1].op.label(), "linear_sparse");
     }
 
     #[test]

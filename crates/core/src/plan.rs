@@ -5,17 +5,18 @@
 //! **zero steady-state heap allocations** (convolution and batched-matmul
 //! steps excepted; see [`ExecPlan::steady_allocs`]):
 //!
-//! 1. **Fusion.** Every `Linear` / `LinearPacked` / `LinearSparse` /
-//!    `Conv2d` / `Conv2dPacked` node — which the interpreter runs as up to
-//!    four full-tensor passes (MAC, channel bias, `MulQuant` requant +
-//!    ReLU, optionally a following `GeluLut`) — becomes one fused step.
-//!    The packed tile loops of `t2c_tensor::fused` apply the whole
-//!    epilogue per output element as it leaves the accumulator tile, so
-//!    the wide `i32` intermediate never materializes. Dense weights are
-//!    packed **once, at compile time** (the interpreter's dense path
-//!    re-packs the weight on every call); sparse column indices are
-//!    likewise precomputed. A `GeluLut` node is folded into its producer
-//!    when it is the producer's sole consumer.
+//! 1. **Fusion.** Every `Linear` / `LinearSparse` / `Conv2d` node — which
+//!    the reference interpreter runs as up to four full-tensor passes (MAC,
+//!    channel bias, `MulQuant` requant + ReLU, optionally a following
+//!    `GeluLut`) — becomes one fused step. The packed tile loops of
+//!    `t2c_tensor::fused` apply the whole epilogue per output element as
+//!    it leaves the accumulator tile, so the wide `i32` intermediate never
+//!    materializes. Dense weights are packed **once, at compile time** —
+//!    the panel layout belongs to the plan, and the graph keeps its plain
+//!    dense weights (the interpreter's dense path transposes the weight on
+//!    every call); sparse column indices are likewise precomputed. A
+//!    `GeluLut` node is folded into its producer when it is the producer's
+//!    sole consumer.
 //! 2. **Liveness + arena.** A last-use pass computes, per node, the step
 //!    after which its output is dead; a greedy best-fit allocator then
 //!    assigns every output an offset in one shared scratch arena,
@@ -297,7 +298,8 @@ impl IntModel {
     /// axis is treated as the batch and normalized to 1): packs dense
     /// weights, fuses MAC epilogues, runs liveness and lays node outputs
     /// into a shared arena. The model is unchanged — keep using it for
-    /// lint, certification, export and as the fallback interpreter.
+    /// lint, certification, export and as the reference oracle
+    /// ([`IntModel::run_quantized`]) that plan outputs are checked against.
     ///
     /// # Errors
     ///
@@ -343,11 +345,7 @@ impl IntModel {
             }
             let mac = matches!(
                 self.nodes[*i].op,
-                IntOp::Linear { .. }
-                    | IntOp::LinearPacked { .. }
-                    | IntOp::LinearSparse { .. }
-                    | IntOp::Conv2d { .. }
-                    | IntOp::Conv2dPacked { .. }
+                IntOp::Linear { .. } | IntOp::LinearSparse { .. } | IntOp::Conv2d { .. }
             );
             if mac {
                 fold_dst[*i] = Some(j);
@@ -410,17 +408,6 @@ impl IntModel {
                         epi,
                     }
                 }
-                IntOp::LinearPacked { weight, bias, requant, relu, .. } => {
-                    weight.validate()?;
-                    let epi = Epilogue {
-                        bias: bias.clone(),
-                        requant: requant.clone(),
-                        relu: *relu,
-                        lut: lut_of(i),
-                    };
-                    fused_nodes += 1 + epi.folded();
-                    Step::Gemm { src: operand(0)?, dst, weight: weight.clone(), epi }
-                }
                 IntOp::LinearSparse { weight, bias, requant, relu, .. } => {
                     weight.validate().map_err(|e| {
                         TensorError::InvalidArgument(format!(
@@ -455,25 +442,6 @@ impl IntModel {
                     Step::Conv {
                         dst,
                         weight: PackedConv::from_weight(weight, spec.groups)?,
-                        spec: *spec,
-                        epi,
-                        in_dims: geo4(&src),
-                        src,
-                    }
-                }
-                IntOp::Conv2dPacked { weight, bias, spec, requant, relu, .. } => {
-                    weight.validate()?;
-                    let epi = Epilogue {
-                        bias: bias.clone(),
-                        requant: Some(requant.clone()),
-                        relu: *relu,
-                        lut: lut_of(i),
-                    };
-                    fused_nodes += 1 + epi.folded();
-                    let src = operand(0)?;
-                    Step::Conv {
-                        dst,
-                        weight: weight.clone(),
                         spec: *spec,
                         epi,
                         in_dims: geo4(&src),
@@ -985,16 +953,9 @@ mod tests {
 
     #[test]
     fn plan_matches_interpreter_on_the_mlp_family() {
-        for (tag, (model, dims)) in [
-            ("dense", tiny_mlp()),
-            ("pruned", tiny_mlp_pruned(0.8)),
-            ("nm", tiny_mlp_nm(2, 4)),
-            ("prepacked", {
-                let (mut m, d) = tiny_mlp();
-                m.prepack();
-                (m, d)
-            }),
-        ] {
+        for (tag, (model, dims)) in
+            [("dense", tiny_mlp()), ("pruned", tiny_mlp_pruned(0.8)), ("nm", tiny_mlp_nm(2, 4))]
+        {
             let plan = model.compile(&dims).unwrap();
             let mut arena = Arena::new();
             for batch in [1usize, 3] {

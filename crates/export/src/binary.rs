@@ -331,33 +331,6 @@ fn put_op(buf: &mut BytesMut, op: &IntOp) {
             buf.put_u8(u8::from(*relu));
             put_spec(buf, *weight_spec);
         }
-        // Prepacked ops serialize as their dense twins: the panel layout is
-        // a runtime cache optimization, not an interchange format, and the
-        // serve layer re-packs at admission anyway. Round-tripping through
-        // disk therefore loads as Conv2d/Linear with identical weights.
-        IntOp::Conv2dPacked { weight, bias, spec, requant, relu, weight_spec } => {
-            buf.put_u8(1);
-            put_tensor_i32(buf, &weight.unpack().expect("validated packed conv weight"));
-            put_opt_bias(buf, bias);
-            put_conv_spec(buf, *spec);
-            put_mulquant(buf, requant);
-            buf.put_u8(u8::from(*relu));
-            put_spec(buf, *weight_spec);
-        }
-        IntOp::LinearPacked { weight, bias, requant, relu, weight_spec } => {
-            buf.put_u8(2);
-            put_tensor_i32(buf, &weight.unpack().expect("validated packed linear weight"));
-            put_opt_bias(buf, bias);
-            match requant {
-                Some(r) => {
-                    buf.put_u8(1);
-                    put_mulquant(buf, r);
-                }
-                None => buf.put_u8(0),
-            }
-            buf.put_u8(u8::from(*relu));
-            put_spec(buf, *weight_spec);
-        }
         IntOp::AddRequant { m_a, m_b, out_spec, relu } => {
             buf.put_u8(3);
             put_fixed(buf, *m_a);

@@ -119,18 +119,6 @@ pub fn export_package(model: &IntModel, dir: &Path) -> Result<ExportManifest> {
                 sparse.push(entry);
                 (weight.vals.clone(), weight_spec.bits)
             }
-            // Packed layers export their dense expansion: the panel layout
-            // is a runtime representation, and the binary model writer
-            // downgrades these nodes to dense tags, so the hex images must
-            // match what `read_package` will find on disk.
-            IntOp::Conv2dPacked { weight, weight_spec, .. } => (
-                weight.unpack().expect("validated packed conv weight").as_slice().to_vec(),
-                weight_spec.bits,
-            ),
-            IntOp::LinearPacked { weight, weight_spec, .. } => (
-                weight.unpack().expect("validated packed linear weight").as_slice().to_vec(),
-                weight_spec.bits,
-            ),
             _ => continue,
         };
         let base = format!("{i:03}_{}", sanitized(&node.name));

@@ -496,38 +496,6 @@ impl Ctx {
                     x,
                 )
             }
-            IntOp::Conv2dPacked { weight, bias, spec, requant, relu, weight_spec } => {
-                let x = in0?;
-                // Structural integrity first: a panel layout that disagrees
-                // with its own geometry (or carries non-zero padding) would
-                // make the packed kernel compute garbage.
-                if let Err(e) = weight.validate() {
-                    self.push(Diagnostic::node(
-                        Rule::ShapeMismatch,
-                        Severity::Error,
-                        i,
-                        &name,
-                        format!("packed conv weight fails validation: {e}"),
-                        "re-pack the layer with IntModel::prepack — the panel layout must \
-                         describe the dense weight exactly",
-                    ));
-                    return None;
-                }
-                // The packed kernel is bit-identical to the dense path, so
-                // the dense expansion carries the exact intervals.
-                let dense = weight.unpack().ok()?;
-                self.conv_body(
-                    i,
-                    &name,
-                    &dense,
-                    bias.as_deref(),
-                    spec,
-                    requant,
-                    *relu,
-                    *weight_spec,
-                    x,
-                )
-            }
             IntOp::Linear { weight, bias, requant, relu, weight_spec } => {
                 let x = in0?;
                 self.linear_body(
@@ -587,33 +555,6 @@ impl Ctx {
                 // The skip-zero kernel is bit-identical to the masked-dense
                 // path, so the dense expansion carries the exact intervals.
                 let dense = weight.to_dense();
-                self.linear_body(
-                    i,
-                    &name,
-                    &dense,
-                    bias.as_deref(),
-                    requant.as_ref(),
-                    *relu,
-                    *weight_spec,
-                    x,
-                )
-            }
-            IntOp::LinearPacked { weight, bias, requant, relu, weight_spec } => {
-                let x = in0?;
-                if let Err(e) = weight.validate() {
-                    self.push(Diagnostic::node(
-                        Rule::ShapeMismatch,
-                        Severity::Error,
-                        i,
-                        &name,
-                        format!("packed linear weight fails validation: {e}"),
-                        "re-pack the layer with IntModel::prepack — the panel layout must \
-                         describe the dense weight exactly",
-                    ));
-                    return None;
-                }
-                // Bit-identical to dense, so analyze the dense expansion.
-                let dense = weight.unpack().ok()?;
                 self.linear_body(
                     i,
                     &name,
@@ -909,9 +850,8 @@ impl Ctx {
         }
     }
 
-    /// The shared dense analysis for `Conv2d` and (after unpacking)
-    /// `Conv2dPacked`: shape inference, per-channel accumulator intervals,
-    /// overflow proof and requantizer checks.
+    /// The dense analysis for `Conv2d`: shape inference, per-channel
+    /// accumulator intervals, overflow proof and requantizer checks.
     #[allow(clippy::too_many_arguments)]
     fn conv_body(
         &mut self,

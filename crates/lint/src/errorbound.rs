@@ -616,50 +616,9 @@ impl Certifier {
                 )?;
                 Some(EState { shape: vec![x.shape[0], oc, oh, ow], range, err, scale: None })
             }
-            IntOp::Conv2dPacked { weight, bias, spec, requant, relu, weight_spec: _ } => {
-                let x = in0?;
-                let Ok(dense) = weight.unpack() else {
-                    self.uncertifiable(i, &name, "the packed conv weight fails validation");
-                    return None;
-                };
-                if x.shape.len() != 4 {
-                    self.uncertifiable(i, &name, "conv input is not rank 4");
-                    return None;
-                }
-                let (h, w) = (x.shape[2], x.shape[3]);
-                let (oc, kh, kw) = (dense.dim(0), dense.dim(2), dense.dim(3));
-                let (Some(oh), Some(ow)) = (
-                    conv_extent(h, kh, spec.stride, spec.padding),
-                    conv_extent(w, kw, spec.stride, spec.padding),
-                ) else {
-                    self.uncertifiable(i, &name, "kernel does not fit the spatial extent");
-                    return None;
-                };
-                let xr = if spec.padding > 0 { x.range.include_zero() } else { x.range };
-                let (range, err) = self.mac_error(
-                    i,
-                    &name,
-                    &dense,
-                    oc,
-                    xr,
-                    x.err,
-                    bias.as_deref(),
-                    Some(requant),
-                    *relu,
-                )?;
-                Some(EState { shape: vec![x.shape[0], oc, oh, ow], range, err, scale: None })
-            }
             IntOp::Linear { weight, bias, requant, relu, weight_spec: _ } => {
                 let x = in0?;
                 self.linear_error(i, &name, weight, bias.as_deref(), requant.as_ref(), *relu, x)
-            }
-            IntOp::LinearPacked { weight, bias, requant, relu, weight_spec: _ } => {
-                let x = in0?;
-                let Ok(dense) = weight.unpack() else {
-                    self.uncertifiable(i, &name, "the packed linear weight fails validation");
-                    return None;
-                };
-                self.linear_error(i, &name, &dense, bias.as_deref(), requant.as_ref(), *relu, x)
             }
             IntOp::LinearSparse { weight, bias, requant, relu, .. } => {
                 let x = in0?;
@@ -1041,7 +1000,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_packed_variants_certify_close_to_dense() {
+    fn pruned_variant_certifies_no_looser_than_dense() {
         let (dense, dims) = zoo::tiny_mlp();
         let (dr, _) = certify_model(&dense, &dims, ErrorBoundConfig::default(), "dense");
         let (pruned, _) = zoo::tiny_mlp_pruned(0.8);
@@ -1050,12 +1009,6 @@ mod tests {
         assert_eq!(pl.error_count(), 0);
         // Pruning removes weights, so the pruned bound cannot exceed dense.
         assert!(pr.end_to_end_steps <= dr.end_to_end_steps);
-        let (mut packed, _) = zoo::tiny_mlp();
-        assert!(packed.prepack() > 0);
-        let (kr, kl) = certify_model(&packed, &dims, ErrorBoundConfig::default(), "packed");
-        assert_eq!(kl.error_count(), 0);
-        // Packing is a layout change: identical certificate.
-        assert!((kr.end_to_end_steps - dr.end_to_end_steps).abs() < 1e-9);
     }
 
     #[test]

@@ -32,15 +32,6 @@ pub fn lint_package(model: &IntModel, manifest: &ExportManifest, tag: &str) -> L
             | IntOp::Linear { weight, weight_spec, .. } => {
                 expected.insert(node.name.as_str(), (weight.numel(), weight_spec.bits));
             }
-            // Packed layers export their dense expansion (the panel layout
-            // is a runtime representation, not an interchange format), so
-            // the manifest must account for the full logical element count.
-            IntOp::Conv2dPacked { weight, weight_spec, .. } => {
-                expected.insert(node.name.as_str(), (weight.logical_numel(), weight_spec.bits));
-            }
-            IntOp::LinearPacked { weight, weight_spec, .. } => {
-                expected.insert(node.name.as_str(), (weight.logical_numel(), weight_spec.bits));
-            }
             IntOp::LinearSparse { weight, weight_spec, .. } => {
                 expected.insert(node.name.as_str(), (weight.stored(), weight_spec.bits));
                 expected_sparse.insert(

@@ -16,13 +16,10 @@ fn fixtures() -> Vec<(String, IntModel, Vec<usize>)> {
     let (dense, dims) = zoo::tiny_mlp();
     let (pruned, pdims) = zoo::tiny_mlp_pruned(0.8);
     let (nm, ndims) = zoo::tiny_mlp_nm(2, 4);
-    let mut prepacked = dense.clone();
-    prepacked.prepack();
     vec![
-        ("mlp-dense".into(), dense, dims.clone()),
+        ("mlp-dense".into(), dense, dims),
         ("mlp-pruned".into(), pruned, pdims),
         ("mlp-nm".into(), nm, ndims),
-        ("mlp-prepacked".into(), prepacked, dims),
     ]
 }
 

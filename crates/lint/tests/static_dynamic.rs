@@ -5,6 +5,8 @@
 //! grid. Randomized conv models + randomized full-range inputs check that
 //! the interval analysis really is sound against the deployed kernels.
 
+use std::sync::{Mutex, PoisonError};
+
 use proptest::prelude::*;
 use t2c_core::intmodel::{IntOp, Src};
 use t2c_core::{FixedPointFormat, IntModel, MulQuant, QuantSpec};
@@ -38,10 +40,16 @@ fn conv_model(weights: Vec<i32>, shape: [usize; 4], scale: f32, relu: bool) -> I
     m
 }
 
+/// Serializes the tests' use of the process-global profiler: the test
+/// harness runs tests on parallel threads, and one test's deliberately
+/// clipping run must not bleed into another test's saturation count.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
+
 /// Runs `model` on input codes (already on the 4-bit grid) and returns the
 /// runtime saturation count the requantizer epilogue observed.
 fn saturated_after_run(model: &IntModel, codes: &[i32], dims: &[usize]) -> u64 {
     let x = Tensor::from_vec(codes.iter().map(|&c| c as f32).collect(), dims).unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     t2c_obs::set_enabled(true);
     t2c_obs::reset();
     model.run(&x).expect("clean model must run");

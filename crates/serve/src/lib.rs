@@ -6,11 +6,12 @@
 //!
 //! * **Admission control** — [`ModelRegistry`] only admits models that
 //!   pass the `t2c-lint` static verifier with zero error-level findings
-//!   (packages additionally re-verify checksums and the hex manifest).
-//!   The runtime serves exactly what `t2c-check` would sign off on.
+//!   (packages additionally re-verify checksums and the hex manifest) and
+//!   whose execution plan compiles. The runtime serves exactly what
+//!   `t2c-check` would sign off on.
 //! * **Dynamic micro-batching** — requests coalesce per model up to
 //!   `max_batch` rows or `max_delay`, ride the axis-0 concat/split tensor
-//!   kernels through `IntModel::run_quantized`, and fan back out to
+//!   kernels through the model's compiled `ExecPlan`, and fan back out to
 //!   per-request completion slots ([`MicroBatcher`], [`Server`]).
 //! * **Robustness policy** — bounded queues with explicit
 //!   [`ServeError::Busy`] backpressure, per-request deadlines, worker

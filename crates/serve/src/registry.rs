@@ -7,7 +7,9 @@
 //! fires — the rejection diagnostic names the `T2Cxxx` rule ids. This
 //! makes the registry the runtime enforcement point of the toolkit's
 //! deployment contract: what the server hosts is exactly what `t2c-check`
-//! would sign off on.
+//! would sign off on. Admission then compiles the model's execution plan
+//! — the only executor the workers run — and refuses the model with
+//! [`AdmissionError::BadModel`] when it does not compile.
 //!
 //! Each admitted model also carries its runtime health: a panic counter
 //! fed by worker isolation and a circuit breaker that quarantines the
@@ -50,6 +52,7 @@ use t2c_lint::{certify_model, lint_model, lint_package, ErrorBoundConfig, LintRe
 use t2c_tensor::Tensor;
 
 use crate::error::AdmissionError;
+use crate::runtime::panic_message;
 
 /// Circuit-breaker state (see the module docs). The `quarantined` mirror
 /// on [`AdmittedModel`] keeps the hot-path check a single atomic load.
@@ -82,7 +85,7 @@ pub(crate) enum BreakerDecision {
 pub struct AdmittedModel {
     name: String,
     model: IntModel,
-    plan: Option<ExecPlan>,
+    pub(crate) plan: ExecPlan,
     input_dims: Vec<usize>,
     lint: LintReport,
     slot: usize,
@@ -106,11 +109,12 @@ impl AdmittedModel {
         &self.model
     }
 
-    /// The compiled execution plan (fused epilogues + arena layout),
-    /// when admission could compile one. Workers run it with a per-worker
-    /// [`t2c_core::Arena`]; `None` falls back to the interpreter.
+    /// The compiled execution plan (fused epilogues + arena layout).
+    /// Admission refuses any model whose plan does not compile, so this
+    /// is always `Some`; workers run it with a per-worker
+    /// [`t2c_core::Arena`].
     pub fn plan(&self) -> Option<&ExecPlan> {
-        self.plan.as_ref()
+        Some(&self.plan)
     }
 
     /// Canonical input dims with batch axis 1 (e.g. `[1, 3, 8, 8]`).
@@ -280,7 +284,7 @@ fn error_rules(report: &LintReport) -> Vec<&'static str> {
 /// Everything the gate derives from a model that survived it.
 struct Gated {
     model: IntModel,
-    plan: Option<ExecPlan>,
+    plan: ExecPlan,
     lint: LintReport,
     input_scale: f32,
     input_spec: QuantSpec,
@@ -316,7 +320,8 @@ impl ModelRegistry {
     /// [`AdmissionError::LintGate`] when the verifier reports any
     /// error-level finding (the error names the rule ids);
     /// [`AdmissionError::Duplicate`] / [`AdmissionError::BadModel`] for
-    /// structural problems.
+    /// structural problems, including an execution plan that does not
+    /// compile.
     pub fn admit(
         &self,
         name: &str,
@@ -358,7 +363,9 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Structural checks ([`AdmissionError::Duplicate`] /
-    /// [`AdmissionError::BadModel`]) still apply.
+    /// [`AdmissionError::BadModel`]) still apply, and so does plan
+    /// compilation: a model that panics under compile's shape inference
+    /// is refused with `BadModel`, never admitted.
     pub fn admit_unchecked(
         &self,
         name: &str,
@@ -409,12 +416,13 @@ impl ModelRegistry {
         Ok(admitted)
     }
 
-    /// Runs the lint + certification gate and the structural checks; on
-    /// success returns the (prepacked) model and its serving metadata.
+    /// Runs the lint + certification gate, the structural checks and plan
+    /// compilation; on success returns the model, its plan and its serving
+    /// metadata.
     fn gate(
         &self,
         name: &str,
-        mut model: IntModel,
+        model: IntModel,
         input_dims: &[usize],
         mut report: LintReport,
         certify: bool,
@@ -458,33 +466,25 @@ impl ModelRegistry {
             return Err(AdmissionError::BadModel("model must start with a Quantize node".into()));
         };
         let (input_scale, input_spec) = (*scale, *spec);
-        // Admission is the serving boundary: every dense conv/linear is
-        // repacked once into the cache-blocked panel layout here, so the
-        // hot path never pays a per-call weight transform. The lint gate
-        // above ran on the dense graph; prepacking is bit-identical, so
-        // the verdict carries over. Sparse layers keep their own encoding.
-        let packed = model.prepack();
-        if packed > 0 && t2c_obs::enabled() {
-            t2c_obs::counter_add("serve.prepacked_layers", packed as u64);
-        }
-        // Compile the execution plan at the same boundary: fused
-        // epilogues + arena layout, bit-identical to the interpreter
-        // (which stays available as the fallback when compilation is
-        // unsupported for a graph). The lint/certification verdicts
-        // above apply verbatim — the graph is untouched. Shape inference
-        // inside `compile` executes the graph, so a model admitted via
-        // `admit_unchecked` may panic here; such models fall back to the
-        // interpreter, keeping admission itself panic-free.
-        let plan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            model.compile(input_dims).ok()
-        }))
-        .ok()
-        .flatten();
+        // Compile or refuse: the plan (fused epilogues + arena layout,
+        // packed dense weights) is the only serving executor, so a graph
+        // that does not lower is not servable. The lint/certification
+        // verdicts above apply verbatim — the graph is untouched. Shape
+        // inference inside `compile` executes the graph, so a model that
+        // skipped the lint gate (`admit_unchecked`), or a graph the lint
+        // does not catch, may panic here; the panic becomes a structured
+        // refusal, keeping admission panic-free.
+        let plan =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.compile(input_dims)))
+                .map_err(|payload| {
+                    AdmissionError::BadModel(format!(
+                        "plan compilation panicked: {}",
+                        panic_message(payload.as_ref())
+                    ))
+                })?
+                .map_err(|e| AdmissionError::BadModel(format!("plan compilation failed: {e}")))?;
         if t2c_obs::enabled() {
-            t2c_obs::counter_add(
-                if plan.is_some() { "serve.plans_compiled" } else { "serve.plans_fallback" },
-                1,
-            );
+            t2c_obs::counter_add("serve.plans_compiled", 1);
         }
         Ok(Gated { model, plan, lint: report, input_scale, input_spec, certified_steps })
     }
@@ -708,6 +708,76 @@ mod tests {
         let got = plan.run_quantized(&codes, &mut arena).unwrap();
         assert_eq!(got.as_slice(), want.as_slice());
         assert_eq!(got.dims(), want.dims());
+    }
+
+    /// A model whose GeluLut table holds one entry: every input code but
+    /// −128 indexes out of bounds, including the zero input that plan
+    /// compilation's shape inference runs.
+    fn one_entry_lut_model() -> IntModel {
+        let spec = QuantSpec::signed(8);
+        let mut m = IntModel::new();
+        m.push("input", IntOp::Quantize { scale: 0.01, spec }, vec![]);
+        m.push(
+            "boom",
+            IntOp::GeluLut(t2c_core::lut::GeluLut {
+                table: vec![0],
+                in_spec: spec,
+                in_scale: 0.01,
+                out_spec: spec,
+                out_scale: 0.01,
+            }),
+            vec![Src::Node(0)],
+        );
+        m
+    }
+
+    #[test]
+    fn uncompilable_model_is_refused_through_admit_unchecked() {
+        let reg = ModelRegistry::new();
+        let err = reg.admit_unchecked("boom", one_entry_lut_model(), &[1, 8]).unwrap_err();
+        let AdmissionError::BadModel(msg) = err else {
+            panic!("expected BadModel, got {err:?}");
+        };
+        assert!(msg.contains("plan compilation panicked"), "refusal must name the cause: {msg}");
+        assert!(reg.is_empty(), "a refused model must not be registered");
+    }
+
+    #[test]
+    fn swap_to_an_uncompilable_model_is_refused_and_the_old_version_serves() {
+        let reg = ModelRegistry::new();
+        let (v1, dims) = zoo::tiny_mlp();
+        let old = reg.admit("mlp", v1, &dims).unwrap();
+        // The 1-entry table is already refused by the lint gate (T2C301).
+        let err = reg.swap("mlp", one_entry_lut_model()).unwrap_err();
+        assert!(matches!(err, AdmissionError::LintGate { .. }), "got {err:?}");
+        // A zero-width head passes the lint gate but its plan cannot be
+        // compiled: swap refuses it with BadModel naming the cause.
+        let spec = QuantSpec::signed(8);
+        let mut empty_head = IntModel::new();
+        empty_head.push("input", IntOp::Quantize { scale: 0.01, spec }, vec![]);
+        empty_head.push(
+            "head",
+            IntOp::Linear {
+                weight: Tensor::zeros(&[0, dims[1]]),
+                bias: None,
+                requant: None,
+                relu: false,
+                weight_spec: spec,
+            },
+            vec![Src::Node(0)],
+        );
+        let err = reg.swap("mlp", empty_head).unwrap_err();
+        let AdmissionError::BadModel(msg) = err else {
+            panic!("expected BadModel, got {err:?}");
+        };
+        assert!(msg.starts_with("plan compilation"), "refusal must name the cause: {msg}");
+        // Both refusals left the old version serving.
+        let current = reg.get("mlp").unwrap();
+        assert_eq!(current.group(), old.group(), "a refused swap must leave the old version");
+        let codes = current.quantize(&Tensor::from_fn(&dims, |i| (i as f32) * 0.013 - 0.4));
+        let want = old.model().run_quantized(&codes).unwrap();
+        let got = current.plan().unwrap().run_quantized(&codes, &mut t2c_core::Arena::new());
+        assert_eq!(got.unwrap().as_slice(), want.as_slice());
     }
 
     #[test]

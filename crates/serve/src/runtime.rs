@@ -9,7 +9,7 @@
 //!                                ▼ coalesce (max_batch / max_delay)
 //!                        bounded dispatch channel
 //!                                │ worker pool
-//!                                ▼ concat_axis0 → run_quantized → split_axis0
+//!                                ▼ concat_axis0 → ExecPlan::run_quantized → split_axis0
 //!                        completion slots (per request)
 //! ```
 //!
@@ -601,7 +601,7 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Vec<Ticket<Job>>>>>
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -658,13 +658,11 @@ fn process_batch(shared: &Arc<Shared>, tickets: Vec<Ticket<Job>>, arena: &mut Ar
             }
         }
     };
-    // Compiled models run their execution plan inside the worker's arena
-    // (fused epilogues, zero steady-state allocations, bit-identical to
-    // the interpreter); uncompiled models fall back to the interpreter.
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match model.plan() {
-        Some(plan) => plan.run_quantized(&joined, arena),
-        None => model.model().run_quantized(&joined),
-    }));
+    // Every admitted model runs its compiled execution plan inside the
+    // worker's arena (fused epilogues, zero steady-state allocations,
+    // bit-identical to the interpreter).
+    let outcome =
+        std::panic::catch_unwind(AssertUnwindSafe(|| model.plan.run_quantized(&joined, arena)));
     match outcome {
         Err(payload) => {
             shared.stats.panics.fetch_add(1, Ordering::Relaxed);
@@ -924,10 +922,12 @@ mod tests {
 
     #[test]
     fn worker_panics_are_isolated_and_poison_the_model() {
-        // A GeluLut whose table covers one code out of 256: any larger
-        // input code indexes out of bounds and panics inside the worker.
-        // The lint gate would refuse this (T2C301), which is exactly why
-        // the test goes through admit_unchecked.
+        // A GeluLut whose table covers codes −128..=0 only (129 of 256):
+        // any positive input code indexes out of bounds and panics inside
+        // the worker. The zero input of plan compilation's shape inference
+        // stays in range, so admission compiles the plan; the lint gate
+        // would refuse the table (T2C301), which is exactly why the test
+        // goes through admit_unchecked.
         let reg = Arc::new(ModelRegistry::new());
         let mut m = t2c_core::IntModel::new();
         m.push("input", IntOp::Quantize { scale: 0.01, spec: QuantSpec::signed(8) }, vec![]);
@@ -935,7 +935,7 @@ mod tests {
         m.push(
             "boom",
             IntOp::GeluLut(GeluLut {
-                table: vec![0],
+                table: vec![0; 129],
                 in_spec: spec,
                 in_scale: 0.01,
                 out_spec: spec,
@@ -1082,9 +1082,9 @@ mod tests {
 
     #[test]
     fn breaker_recovers_through_a_half_open_probe_end_to_end() {
-        // Same faulty LUT as the isolation test: any code above the grid
-        // minimum indexes out of bounds and panics; code −128 (index 0)
-        // succeeds — that's the probe's recovery evidence.
+        // Same faulty LUT as the isolation test: any positive code indexes
+        // out of bounds and panics; code −128 (index 0) succeeds — that's
+        // the probe's recovery evidence.
         let reg = Arc::new(ModelRegistry::new());
         let mut m = t2c_core::IntModel::new();
         m.push("input", IntOp::Quantize { scale: 0.01, spec: QuantSpec::signed(8) }, vec![]);
@@ -1092,7 +1092,7 @@ mod tests {
         m.push(
             "boom",
             IntOp::GeluLut(GeluLut {
-                table: vec![0],
+                table: vec![0; 129],
                 in_spec: spec,
                 in_scale: 0.01,
                 out_spec: spec,

@@ -11,7 +11,7 @@ use crate::parallel::par_units;
 use crate::{Result, Tensor, TensorError};
 
 /// Tile edge for the blocked f32 kernel; chosen so three tiles fit in L1.
-/// Also the panel width of the prepacked integer layout ([`crate::packed`]).
+/// Also the panel width of the packed integer layout ([`crate::packed`]).
 pub(crate) const BLOCK: usize = 64;
 
 impl Tensor<f32> {

@@ -1,12 +1,12 @@
-//! Prepacked integer weights and the cache-blocked saturating matmul.
+//! Packed integer weights and the cache-blocked saturating matmul.
 //!
 //! The serving hot path multiplies a fixed weight matrix against a stream
 //! of small activation batches. [`PackedMat`] pre-transforms such a weight
-//! **once, at model-admission time** into column-panel tiles so that every
-//! subsequent [`matmul_i32_sat_packed`] call reads the weight in the exact
-//! order the kernel consumes it — no per-call transpose, and each panel is
-//! small enough to stay cache-resident while a block of output rows is
-//! accumulated against it.
+//! **once, when a model is compiled into an execution plan**, into
+//! column-panel tiles so that every subsequent kernel call reads the
+//! weight in the exact order the kernel consumes it — no per-call
+//! transpose, and each panel is small enough to stay cache-resident while
+//! a block of output rows is accumulated against it.
 //!
 //! # Layout
 //!
@@ -33,8 +33,8 @@
 //! # Bit-identity with the naive kernel
 //!
 //! [`matmul_i32_sat_packed`] is bit-identical to `Tensor::matmul_i`
-//! against the unpacked transposed weight, by the same argument PR 6's
-//! sparse kernel used: the dense kernel clamps the i64 accumulator back
+//! against the unpacked transposed weight, by the same argument the skip-zero
+//! sparse kernel uses: the dense kernel clamps the i64 accumulator back
 //! into `i32` range after **every** MAC, so the running accumulator is
 //! always an exact `i32` and any MAC whose product is zero is a no-op
 //! (`clamp(acc + 0) == acc`). The packed kernel tiles over output rows and
@@ -71,7 +71,7 @@ pub const PANEL: usize = crate::ops::BLOCK;
 /// weight row across `MR` activation rows before it leaves cache.
 pub(crate) const MR: usize = 8;
 
-/// A `[n, k]` integer weight prepacked into column-panel tiles (see the
+/// A `[n, k]` integer weight packed into column-panel tiles (see the
 /// module docs for the layout).
 ///
 /// Fields are public so the lint/test layers can corrupt one; consumers
@@ -128,20 +128,6 @@ impl PackedMat {
     /// Number of column panels.
     pub fn panels(&self) -> usize {
         self.n.div_ceil(PANEL)
-    }
-
-    /// Elements of the original dense weight (padding excluded) — the
-    /// count storage accounting and lint manifests use.
-    pub fn logical_numel(&self) -> usize {
-        self.n * self.k
-    }
-
-    /// Number of zero values in the logical weight. Assumes the padding
-    /// invariant ([`PackedMat::validate`]) holds, so the structural zeros
-    /// past column `n` can simply be subtracted out.
-    pub fn count_zeros(&self) -> usize {
-        let structural = self.panels() * self.k * PANEL - self.logical_numel();
-        self.data.iter().filter(|&&v| v == 0).count() - structural
     }
 
     /// Reconstructs the dense `[n, k]` weight, dropping the panel padding.
@@ -227,7 +213,7 @@ fn max_abs(vals: &[i32]) -> u32 {
     vals.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0)
 }
 
-/// A `[oc, cg, kh, kw]` convolution weight prepacked per group: each
+/// A `[oc, cg, kh, kw]` convolution weight packed per group: each
 /// group's `[ocg, cg·kh·kw]` im2col block becomes one [`PackedMat`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedConv {
@@ -279,16 +265,6 @@ impl PackedConv {
         self.cg * self.kh * self.kw
     }
 
-    /// Elements of the original dense weight.
-    pub fn logical_numel(&self) -> usize {
-        self.oc * self.cg * self.kh * self.kw
-    }
-
-    /// Number of zero values in the logical weight (padding excluded).
-    pub fn count_zeros(&self) -> usize {
-        self.blocks.iter().map(PackedMat::count_zeros).sum()
-    }
-
     /// Reconstructs the dense `[oc, cg, kh, kw]` weight.
     ///
     /// # Errors
@@ -296,7 +272,7 @@ impl PackedConv {
     /// Returns an error if the structure is invalid.
     pub fn unpack(&self) -> Result<Tensor<i32>> {
         self.validate()?;
-        let mut data = Vec::with_capacity(self.logical_numel());
+        let mut data = Vec::with_capacity(self.oc * self.cg * self.kh * self.kw);
         for block in &self.blocks {
             data.extend_from_slice(block.unpack()?.as_slice());
         }
@@ -494,7 +470,7 @@ pub fn matmul_i32_sat_packed(x: &Tensor<i32>, w: &PackedMat) -> Result<Tensor<i3
 ///
 /// Uses the same im2col unrolling and `(image × group)` work partition as
 /// the dense path; within a unit the patch block is transposed so the
-/// group's prepacked weight block is the panel operand.
+/// group's packed weight block is the panel operand.
 ///
 /// # Errors
 ///
@@ -627,7 +603,6 @@ mod tests {
             let packed = PackedMat::from_weight(&w).unwrap();
             packed.validate().unwrap();
             assert_eq!(packed.panels(), n.div_ceil(PANEL));
-            assert_eq!(packed.logical_numel(), n * k);
             assert_eq!(packed.unpack().unwrap().as_slice(), w.as_slice());
         }
     }

@@ -1,4 +1,4 @@
-//! Bit-identity of the prepacked GEMM/conv kernels against the naive
+//! Bit-identity of the packed GEMM/conv kernels against the naive
 //! saturating kernels. The packed kernels reorder *memory traversal* only
 //! — every output element still accumulates its k products in ascending
 //! order with the per-MAC `i64 → i32` clamp — so the results must match

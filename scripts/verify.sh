@@ -30,8 +30,9 @@
 #      dense path and at least 1.5× faster on the zoo MLP at both 80%
 #      unstructured and 2:4 structured sparsity, with a schema-valid
 #      sparse_speedup.json
-#   9. gemm_pack: the prepacked panel GEMM must be bit-identical to the
-#      dense serving path (per-call transpose + naive saturating matmul)
+#   9. gemm_pack: the packed panel GEMM kernel that the compiled plan's
+#      fused Gemm/Conv steps share must be bit-identical to the dense
+#      interpreter path (per-call transpose + naive saturating matmul)
 #      at every swept shape and at least 1.5× faster at 64×1024×1024
 #      with 4 host threads, with a schema-valid gemm_pack.json
 #   9b. plan_speedup: the compiled execution plan (fused GEMM epilogues +
@@ -113,7 +114,7 @@ for key in version bench created_unix configs model layout sparsity \
 done
 grep -q '"pass": true' "$sparse_report" || { echo "$sparse_report did not pass"; exit 1; }
 
-echo "==> gemm pack (prepacked serving-path gate, T2C_THREADS=4)"
+echo "==> gemm pack (plan panel-kernel gate, T2C_THREADS=4)"
 pack_report=bench_results/gemm_pack.json
 T2C_THREADS=4 cargo run --release -q -p t2c-bench --bin gemm_pack
 for key in version bench created_unix threads shapes dense_ns packed_ns \

@@ -1,7 +1,7 @@
 //! End-to-end execution-plan equivalence: `IntModel::compile` lowers a
 //! graph into a fused, arena-backed [`t2c_core::ExecPlan`], and the plan
 //! must reproduce the interpreter's logits bit for bit on every zoo model
-//! — dense, pruned, N:M structured and prepacked — at any worker count.
+//! — dense, pruned and N:M structured — at any worker count.
 //! A plan compiled from an export/import round-trip of the model must
 //! agree as well: the serialized graph carries everything compilation
 //! needs.
@@ -22,21 +22,16 @@ fn batched(dims: &[usize], batch: usize) -> Vec<usize> {
 }
 
 /// Every variant of the MLP family the toolkit produces: dense, magnitude
-/// pruned, N:M structured, and the cache-blocked prepacked twin of each.
+/// pruned and N:M structured.
 fn mlp_family() -> Vec<(String, IntModel, Vec<usize>)> {
-    let mut out = Vec::new();
     let (dense, dims) = zoo::tiny_mlp();
-    out.push(("mlp-dense".into(), dense, dims));
-    let (pruned, dims) = zoo::tiny_mlp_pruned(0.8);
-    out.push(("mlp-pruned-0.8".into(), pruned, dims));
-    let (nm, dims) = zoo::tiny_mlp_nm(2, 4);
-    out.push(("mlp-nm-2of4".into(), nm, dims));
-    for (tag, model, dims) in out.clone() {
-        let mut packed = model;
-        packed.prepack();
-        out.push((format!("{tag}-prepacked"), packed, dims));
-    }
-    out
+    let (pruned, pdims) = zoo::tiny_mlp_pruned(0.8);
+    let (nm, ndims) = zoo::tiny_mlp_nm(2, 4);
+    vec![
+        ("mlp-dense".into(), dense, dims),
+        ("mlp-pruned-0.8".into(), pruned, pdims),
+        ("mlp-nm-2of4".into(), nm, ndims),
+    ]
 }
 
 #[test]
