@@ -24,19 +24,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use t2c_cluster::{Cluster, ClusterConfig, RouterConfig};
-use t2c_serve::{
-    serve_tcp_backend, BatchConfig, ModelRegistry, ServeError, ServerConfig, TcpClient,
-};
+use t2c_serve::{serve_tcp_backend, ModelRegistry, ServeError, ServerConfig, TcpClient};
 use t2c_tensor::Tensor;
 
 struct Options {
     port: u16,
     replicas: usize,
     replication: usize,
-    workers: usize,
-    max_batch: usize,
-    max_delay_us: u64,
-    queue_cap: usize,
+    server: ServerConfig,
     mlp_only: bool,
     smoke: bool,
 }
@@ -47,10 +42,7 @@ impl Default for Options {
             port: 7434,
             replicas: 3,
             replication: 2,
-            workers: 1,
-            max_batch: 16,
-            max_delay_us: 2_000,
-            queue_cap: 256,
+            server: ServerConfig { workers: 1, ..ServerConfig::default() },
             mlp_only: false,
             smoke: false,
         }
@@ -73,10 +65,17 @@ fn parse_args() -> Options {
             "--port" => opts.port = numeric(&mut args, "--port") as u16,
             "--replicas" => opts.replicas = numeric(&mut args, "--replicas") as usize,
             "--replication" => opts.replication = numeric(&mut args, "--replication") as usize,
-            "--workers" => opts.workers = numeric(&mut args, "--workers") as usize,
-            "--max-batch" => opts.max_batch = numeric(&mut args, "--max-batch") as usize,
-            "--max-delay-us" => opts.max_delay_us = numeric(&mut args, "--max-delay-us"),
-            "--queue-cap" => opts.queue_cap = numeric(&mut args, "--queue-cap") as usize,
+            "--workers" => opts.server.workers = numeric(&mut args, "--workers") as usize,
+            "--max-batch" => {
+                opts.server.batch.max_batch = numeric(&mut args, "--max-batch") as usize;
+            }
+            "--max-delay-us" => {
+                opts.server.batch.max_delay_ns =
+                    numeric(&mut args, "--max-delay-us").saturating_mul(1_000);
+            }
+            "--queue-cap" => {
+                opts.server.batch.queue_cap = numeric(&mut args, "--queue-cap") as usize;
+            }
             "--mlp-only" => opts.mlp_only = true,
             "--smoke" => opts.smoke = true,
             "--help" | "-h" => {
@@ -96,16 +95,7 @@ fn cluster_config(opts: &Options) -> ClusterConfig {
     ClusterConfig {
         replicas: opts.replicas,
         router: RouterConfig { replication: opts.replication, ..RouterConfig::default() },
-        server: ServerConfig {
-            batch: BatchConfig {
-                max_batch: opts.max_batch,
-                max_delay_ns: opts.max_delay_us * 1_000,
-                queue_cap: opts.queue_cap,
-            },
-            workers: opts.workers,
-            max_panics: 3,
-            ..ServerConfig::default()
-        },
+        server: opts.server,
         ..ClusterConfig::default()
     }
 }

@@ -2,7 +2,7 @@
 //! behind the pure [`Router`].
 //!
 //! Each replica is a full serve stack — its own lint-gated
-//! [`ModelRegistry`] and [`Server`] (batcher + worker pool). The cluster
+//! [`ModelRegistry`] and [`Server`] (batch queue + worker pool). The cluster
 //! deploys a model by admitting it (through the replica's own lint gate)
 //! on the R replicas the placement ring names, and routes each request
 //! to the least-loaded healthy holder. Everything stateful-and-pure

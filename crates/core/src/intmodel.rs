@@ -482,6 +482,7 @@ impl IntModel {
                     IntOp::Quantize { .. } => input.clone(),
                     IntOp::Conv2d { weight, bias, spec, requant, relu, .. } => {
                         let xin = operand(0)?;
+                        require_weight(&node.name, weight.dims())?;
                         let acc = conv2d_i32(xin, weight, None, *spec)?;
                         let acc = match bias {
                             Some(b) => add_channel_bias(&acc, b, 1),
@@ -491,6 +492,7 @@ impl IntModel {
                     }
                     IntOp::Linear { weight, bias, requant, relu, .. } => {
                         let xin = operand(0)?;
+                        require_weight(&node.name, weight.dims())?;
                         let acc = linear_i32(xin, weight)?;
                         let acc = match bias {
                             Some(b) => add_channel_bias(&acc, b, acc.rank() - 1),
@@ -503,6 +505,7 @@ impl IntModel {
                     }
                     IntOp::LinearSparse { weight, bias, requant, relu, .. } => {
                         let xin = operand(0)?;
+                        require_weight(&node.name, &[weight.rows, weight.cols])?;
                         let acc = linear_sparse_i32(xin, weight)?;
                         let acc = match bias {
                             Some(b) => add_channel_bias(&acc, b, acc.rank() - 1),
@@ -844,6 +847,17 @@ fn add_channel_bias(acc: &Tensor<i32>, bias: &[i64], ch_axis: usize) -> Tensor<i
             .clamp(i32::MIN as i64, i32::MAX as i64) as i32;
     }
     out
+}
+
+/// Refuses a MAC weight with a zero extent: the kernels split work into
+/// nonzero units and would panic on it.
+fn require_weight(node: &str, dims: &[usize]) -> Result<()> {
+    if dims.contains(&0) {
+        return Err(TensorError::InvalidGeometry(format!(
+            "node '{node}' weight {dims:?} is empty"
+        )));
+    }
+    Ok(())
 }
 
 fn linear_i32(x: &Tensor<i32>, w: &Tensor<i32>) -> Result<Tensor<i32>> {

@@ -221,6 +221,16 @@ impl Ctx {
         self.push(Diagnostic::node(Rule::ShapeMismatch, Severity::Error, i, name, msg, hint));
     }
 
+    /// T2C005 for a MAC weight with a zero extent, which no kernel runs.
+    fn empty_weight(&mut self, i: usize, name: &str, dims: &[usize]) -> bool {
+        let empty = dims.contains(&0);
+        if empty {
+            let msg = format!("weight {dims:?} has a zero extent");
+            self.shape_err(i, name, msg, "every weight axis needs at least one element");
+        }
+        empty
+    }
+
     /// Per-`FixedScalar` representability checks (T2C202 / T2C203).
     fn fixed_scalar_check(&mut self, i: usize, name: &str, m: FixedScalar, what: &str) {
         if m.raw == 0 {
@@ -874,6 +884,9 @@ impl Ctx {
             );
             return None;
         }
+        if self.empty_weight(i, name, weight.dims()) {
+            return None;
+        }
         let (c, h, w) = (x.shape[1], x.shape[2], x.shape[3]);
         let (oc, cg, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
         let g = spec.groups.max(1);
@@ -943,6 +956,9 @@ impl Ctx {
         weight_spec: QuantSpec,
         x: State,
     ) -> Option<State> {
+        if self.empty_weight(i, name, weight.dims()) {
+            return None;
+        }
         let (out_f, in_f) = (weight.dim(0), weight.dim(1));
         let Some(&last) = x.shape.last() else {
             self.shape_err(i, name, "linear input has rank 0".into(), "feed [N, IN]");
@@ -1265,6 +1281,36 @@ mod tests {
         m.nodes[1].inputs = vec![];
         let report = lint_model(&m, &[1, 1, 4, 4], "arity");
         assert!(ids(&report).contains(&"T2C004"), "got {:?}", ids(&report));
+    }
+
+    #[test]
+    fn zero_extent_weights_fire_t2c005_and_fail_to_run() {
+        // A conv with no output channels and a linear head with no output
+        // features: both must fail lint, and the interpreter must refuse
+        // them with an error rather than panic in the kernels.
+        let mut conv = clean_conv_model();
+        if let IntOp::Conv2d { weight, .. } = &mut conv.nodes[1].op {
+            *weight = Tensor::zeros(&[0, 1, 1, 1]);
+        }
+        let mut linear = IntModel::new();
+        linear.push("input", quantize(QuantSpec::signed(8)), vec![]);
+        linear.push(
+            "head",
+            IntOp::Linear {
+                weight: Tensor::zeros(&[0, 4]),
+                bias: None,
+                requant: None,
+                relu: false,
+                weight_spec: QuantSpec::signed(8),
+            },
+            vec![Src::Node(0)],
+        );
+        for (m, dims) in [(conv, vec![1, 1, 4, 4]), (linear, vec![1, 4])] {
+            let report = lint_model(&m, &dims, "empty");
+            assert!(ids(&report).contains(&"T2C005"), "got {:?}", ids(&report));
+            assert_eq!(report.verdict(), "fail");
+            assert!(m.run_quantized(&Tensor::zeros(&dims)).is_err());
+        }
     }
 
     #[test]

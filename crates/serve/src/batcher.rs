@@ -8,7 +8,8 @@
 //! drain ordering unit-testable with a fake clock and zero sleeps.
 //!
 //! The threaded runtime in [`crate::runtime`] wraps one of these behind a
-//! mutex/condvar and turns `Decision::WaitUntil` into actual condvar waits.
+//! mutex/condvar: each free worker polls it for its next batch and turns
+//! `Decision::WaitUntil` into a timed condvar wait.
 //!
 //! Batching policy: requests coalesce per *group* (one group per admitted
 //! model — tensors from different models can never be concatenated). A
@@ -31,7 +32,8 @@ pub struct BatchConfig {
     /// this still dispatches (alone) — requests are never split.
     pub max_batch: usize,
     /// How long the oldest queued request may wait for co-batched work
-    /// before the batch flushes anyway.
+    /// before the batch flushes anyway. `0` (the default) batches only
+    /// work that queued up while every worker was busy.
     pub max_delay_ns: u64,
     /// Bound on queued *requests*; admission beyond this is rejected with
     /// [`ServeError::Busy`].
@@ -40,7 +42,7 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig { max_batch: 16, max_delay_ns: 2_000_000, queue_cap: 256 }
+        BatchConfig { max_batch: 16, max_delay_ns: 0, queue_cap: 256 }
     }
 }
 
@@ -122,10 +124,10 @@ impl<T> MicroBatcher<T> {
     }
 
     /// Queued rows for one batching group. The runtime uses this to
-    /// coalesce scheduler wakeups: an admission only needs to wake the
-    /// batcher when the queue was empty (a new flush window starts) or
-    /// when this count reaches `max_batch` (a batch just became full) —
-    /// every other admission can ride the existing window timeout.
+    /// coalesce worker wakeups: an admission only needs to wake a worker
+    /// when the queue was empty or when this count reaches `max_batch` (a
+    /// batch just became full) — any other admission joins a queue some
+    /// worker already answers for.
     pub fn group_rows(&self, group: usize) -> usize {
         self.rows_per_group.get(group).copied().unwrap_or(0)
     }

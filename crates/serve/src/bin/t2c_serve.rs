@@ -20,34 +20,19 @@ use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use t2c_serve::{
-    serve_tcp, BatchConfig, ModelRegistry, ServeError, Server, ServerConfig, TcpClient,
-};
+use t2c_serve::{serve_tcp, ModelRegistry, ServeError, Server, ServerConfig, TcpClient};
 use t2c_tensor::Tensor;
 
 struct Options {
     port: u16,
-    workers: usize,
-    max_batch: usize,
-    max_delay_us: u64,
-    queue_cap: usize,
-    audit_every: u64,
+    server: ServerConfig,
     mlp_only: bool,
     smoke: bool,
 }
 
 impl Default for Options {
     fn default() -> Self {
-        Options {
-            port: 7433,
-            workers: 2,
-            max_batch: 16,
-            max_delay_us: 2_000,
-            queue_cap: 256,
-            audit_every: 0,
-            mlp_only: false,
-            smoke: false,
-        }
+        Options { port: 7433, server: ServerConfig::default(), mlp_only: false, smoke: false }
     }
 }
 
@@ -65,11 +50,18 @@ fn parse_args() -> Options {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--port" => opts.port = numeric(&mut args, "--port") as u16,
-            "--workers" => opts.workers = numeric(&mut args, "--workers") as usize,
-            "--max-batch" => opts.max_batch = numeric(&mut args, "--max-batch") as usize,
-            "--max-delay-us" => opts.max_delay_us = numeric(&mut args, "--max-delay-us"),
-            "--queue-cap" => opts.queue_cap = numeric(&mut args, "--queue-cap") as usize,
-            "--audit-every" => opts.audit_every = numeric(&mut args, "--audit-every"),
+            "--workers" => opts.server.workers = numeric(&mut args, "--workers") as usize,
+            "--max-batch" => {
+                opts.server.batch.max_batch = numeric(&mut args, "--max-batch") as usize;
+            }
+            "--max-delay-us" => {
+                opts.server.batch.max_delay_ns =
+                    numeric(&mut args, "--max-delay-us").saturating_mul(1_000);
+            }
+            "--queue-cap" => {
+                opts.server.batch.queue_cap = numeric(&mut args, "--queue-cap") as usize;
+            }
+            "--audit-every" => opts.server.audit_every = numeric(&mut args, "--audit-every"),
             "--mlp-only" => opts.mlp_only = true,
             "--smoke" => opts.smoke = true,
             "--help" | "-h" => {
@@ -114,20 +106,6 @@ fn build_registry(mlp_only: bool) -> Arc<ModelRegistry> {
     registry
 }
 
-fn server_config(opts: &Options) -> ServerConfig {
-    ServerConfig {
-        batch: BatchConfig {
-            max_batch: opts.max_batch,
-            max_delay_ns: opts.max_delay_us * 1_000,
-            queue_cap: opts.queue_cap,
-        },
-        workers: opts.workers,
-        max_panics: 3,
-        audit_every: opts.audit_every,
-        ..ServerConfig::default()
-    }
-}
-
 /// An in-grid synthetic request for a hosted model: a deterministic float
 /// ramp quantized with the model's own input scale/spec.
 fn sample_codes(model: &t2c_serve::AdmittedModel) -> Tensor<i32> {
@@ -138,7 +116,7 @@ fn sample_codes(model: &t2c_serve::AdmittedModel) -> Tensor<i32> {
 
 fn run_smoke(opts: &Options) -> Result<(), String> {
     let registry = build_registry(opts.mlp_only);
-    let server = Server::start(Arc::clone(&registry), server_config(opts));
+    let server = Server::start(Arc::clone(&registry), opts.server);
     let stop = Arc::new(AtomicBool::new(false));
     let listener =
         TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind ephemeral port: {e}"))?;
@@ -209,7 +187,7 @@ fn main() {
         return;
     }
     let registry = build_registry(opts.mlp_only);
-    let server = Server::start(Arc::clone(&registry), server_config(&opts));
+    let server = Server::start(Arc::clone(&registry), opts.server);
     let stop = Arc::new(AtomicBool::new(false));
     let listener = TcpListener::bind(("127.0.0.1", opts.port)).unwrap_or_else(|e| {
         eprintln!("bind 127.0.0.1:{}: {e}", opts.port);

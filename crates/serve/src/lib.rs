@@ -9,11 +9,12 @@
 //!   (packages additionally re-verify checksums and the hex manifest) and
 //!   whose execution plan compiles. The runtime serves exactly what
 //!   `t2c-check` would sign off on.
-//! * **Dynamic micro-batching** — requests coalesce per model up to
-//!   `max_batch` rows or `max_delay`, ride the axis-0 concat/split tensor
-//!   kernels through the model's compiled `ExecPlan`, and fan back out to
-//!   per-request completion slots ([`MicroBatcher`], [`Server`]).
-//! * **Robustness policy** — bounded queues with explicit
+//! * **Dynamic micro-batching** — each free worker pulls up to
+//!   `max_batch` queued rows of one model, runs them through the axis-0
+//!   concat/split tensor kernels and the model's compiled `ExecPlan`,
+//!   and fans back out to per-request completion slots ([`MicroBatcher`],
+//!   [`Server`]).
+//! * **Robustness policy** — a bounded queue with explicit
 //!   [`ServeError::Busy`] backpressure, per-request deadlines, worker
 //!   panic isolation with a per-model circuit breaker, and graceful
 //!   drain-on-shutdown ([`ServerConfig`]).

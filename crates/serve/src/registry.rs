@@ -750,8 +750,8 @@ mod tests {
         // The 1-entry table is already refused by the lint gate (T2C301).
         let err = reg.swap("mlp", one_entry_lut_model()).unwrap_err();
         assert!(matches!(err, AdmissionError::LintGate { .. }), "got {err:?}");
-        // A zero-width head passes the lint gate but its plan cannot be
-        // compiled: swap refuses it with BadModel naming the cause.
+        // A zero-width head is a shape error the lint gate names (T2C005);
+        // skipping the gate, plan compilation refuses it with BadModel.
         let spec = QuantSpec::signed(8);
         let mut empty_head = IntModel::new();
         empty_head.push("input", IntOp::Quantize { scale: 0.01, spec }, vec![]);
@@ -766,11 +766,16 @@ mod tests {
             },
             vec![Src::Node(0)],
         );
-        let err = reg.swap("mlp", empty_head).unwrap_err();
+        let err = reg.swap("mlp", empty_head.clone()).unwrap_err();
+        let AdmissionError::LintGate { rules, .. } = err else {
+            panic!("expected LintGate, got {err:?}");
+        };
+        assert!(rules.contains(&"T2C005"), "rules {rules:?} should name T2C005");
+        let err = reg.admit_unchecked("empty-head", empty_head, &dims).unwrap_err();
         let AdmissionError::BadModel(msg) = err else {
             panic!("expected BadModel, got {err:?}");
         };
-        assert!(msg.starts_with("plan compilation"), "refusal must name the cause: {msg}");
+        assert!(msg.starts_with("plan compilation failed"), "refusal must name the cause: {msg}");
         // Both refusals left the old version serving.
         let current = reg.get("mlp").unwrap();
         assert_eq!(current.group(), old.group(), "a refused swap must leave the old version");

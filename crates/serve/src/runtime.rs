@@ -1,30 +1,32 @@
 //! The threaded serving runtime.
 //!
 //! Wraps the pure [`MicroBatcher`] behind a mutex/condvar and drives it
-//! with real threads:
+//! with a pool of worker threads that pull batches straight from it:
 //!
 //! ```text
 //! Handle::submit ──admit──▶ MicroBatcher (bounded queue)
-//!                                │ batcher thread
-//!                                ▼ coalesce (max_batch / max_delay)
-//!                        bounded dispatch channel
-//!                                │ worker pool
+//!                                │ each free worker, under the queue lock:
+//!                                ▼ take_expired → next_batch (max_batch / max_delay)
+//!                                │ lock dropped
 //!                                ▼ concat_axis0 → ExecPlan::run_quantized → split_axis0
 //!                        completion slots (per request)
 //! ```
 //!
+//! A batch is cut only when a worker is free to run it, so under load
+//! batches fill from the backlog, and with the default `max_delay_ns = 0`
+//! a request that finds an idle worker dispatches at once.
+//!
 //! Robustness policy:
-//! * **Backpressure** — the admission queue and the dispatch channel are
-//!   both bounded; a full queue rejects with [`ServeError::Busy`] instead
-//!   of buffering unboundedly.
-//! * **Deadlines** — requests carry an absolute expiry; the batcher expires
-//!   overdue tickets before scheduling and workers re-check before running.
+//! * **Backpressure** — the admission queue is bounded; a full queue
+//!   rejects with [`ServeError::Busy`] instead of buffering unboundedly.
+//! * **Deadlines** — requests carry an absolute expiry; a worker expires
+//!   overdue tickets before cutting a batch and re-checks before running.
 //! * **Panic isolation** — worker inference runs under `catch_unwind`; a
 //!   panic fails only the affected batch, and a per-model circuit breaker
 //!   quarantines a model after `max_panics` panics
 //!   ([`ServeError::ModelPoisoned`]).
 //! * **Graceful drain** — shutdown stops admission, flushes the queue in
-//!   FIFO order, and joins every thread; all in-flight requests resolve.
+//!   FIFO order, and joins every worker; all in-flight requests resolve.
 //!
 //! Observability (active under `T2C_PROFILE=1`): `serve.queue_depth`
 //! gauge, `serve.batch_rows` and `serve.latency_ns` histograms,
@@ -41,7 +43,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, SyncSender};
 use t2c_core::Arena;
 use t2c_obs::SampledAudit;
 use t2c_tensor::Tensor;
@@ -96,8 +97,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// One request's completion slot: fulfilled exactly once by the batcher
-/// (expiry) or a worker (result), awaited by the requester.
+/// One request's completion slot: fulfilled exactly once by a worker
+/// (expiry or result), awaited by the requester.
 #[derive(Debug, Default)]
 struct Pending {
     cell: Mutex<Option<Result<Tensor<i32>, ServeError>>>,
@@ -371,16 +372,14 @@ impl Handle {
         match queue.admit(job, admitted.group(), rows, now, deadline_ns) {
             Ok(_) => {
                 t2c_obs::gauge_set("serve.queue_depth", queue.len() as f64);
-                // Wakeup coalescing: the batcher only needs a nudge when a
-                // new flush window starts (queue was empty) or this group
-                // just reached a full batch — intermediate admissions ride
-                // the window timeout the batcher is already sleeping on.
-                // On a loaded single core this trims one scheduler context
-                // switch per request down to ~2 per batch.
+                // Wakeup coalescing: only an empty queue lets workers sleep
+                // untimed, and only a full group can cut a batch before the
+                // head's timer; any other admission joins a queue that a
+                // worker already answers for (see `worker_loop`).
                 let batch_full = queue.group_rows(admitted.group()) >= shared.cfg.batch.max_batch;
                 drop(queue);
                 if was_empty || batch_full {
-                    shared.wakeup.notify_all();
+                    shared.wakeup.notify_one();
                 }
                 Ok(PendingResponse { inner: pending })
             }
@@ -406,10 +405,9 @@ impl Handle {
     }
 }
 
-/// The serving runtime: owns the batcher thread and the worker pool.
+/// The serving runtime: owns the worker pool.
 pub struct Server {
     shared: Arc<Shared>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -425,7 +423,7 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if the OS refuses to spawn the scheduler/worker threads.
+    /// Panics if the OS refuses to spawn the worker threads.
     pub fn start_with_clock(
         registry: Arc<ModelRegistry>,
         cfg: ServerConfig,
@@ -442,26 +440,16 @@ impl Server {
             stats: ServeStats::default(),
             audit: SampledAudit::new(cfg.audit_every),
         });
-        let (tx, rx) = bounded::<Vec<Ticket<Job>>>(workers * 2);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut pool = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let shared = Arc::clone(&shared);
-            let rx = Arc::clone(&rx);
-            let handle = std::thread::Builder::new()
-                .name(format!("t2c-serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared, &rx))
-                .expect("spawn worker thread");
-            pool.push(handle);
-        }
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("t2c-serve-batcher".into())
-                .spawn(move || batcher_loop(&shared, &tx))
-                .expect("spawn batcher thread")
-        };
-        Server { shared, batcher: Some(batcher), workers: pool }
+        let pool = (0..workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("t2c-serve-worker-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        Server { shared, workers: pool }
     }
 
     /// An in-process submission handle (cloneable, thread-safe).
@@ -480,7 +468,7 @@ impl Server {
     }
 
     /// Graceful drain: stops admission, flushes every queued request in
-    /// FIFO order, joins the scheduler and worker threads, and returns
+    /// FIFO order, joins the worker threads, and returns
     /// the final counters. All in-flight requests resolve before this
     /// returns.
     pub fn shutdown(mut self) -> StatsSnapshot {
@@ -495,11 +483,6 @@ impl Server {
             queue.start_drain();
         }
         self.shared.wakeup.notify_all();
-        if let Some(b) = self.batcher.take() {
-            b.join().ok();
-        }
-        // The batcher dropped the dispatch sender on exit; workers finish
-        // the channel backlog and observe the disconnect.
         for w in self.workers.drain(..) {
             w.join().ok();
         }
@@ -508,7 +491,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.batcher.is_some() {
+        if !self.workers.is_empty() {
             self.shutdown_inner();
         }
     }
@@ -543,9 +526,22 @@ fn snapshot(shared: &Shared) -> StatsSnapshot {
     }
 }
 
-fn batcher_loop(shared: &Arc<Shared>, tx: &SyncSender<Vec<Ticket<Job>>>) {
+/// One worker: cut the next batch under the queue lock, run it with the
+/// lock dropped, repeat.
+///
+/// Wakeup invariant: a worker sleeps without a timer only when the queue
+/// is empty, and every transition that makes work available notifies
+/// (admission into an empty queue or filling a group, a dispatch that
+/// leaves work behind, the start of drain). A non-empty queue thus always
+/// has a worker running a batch or sleeping on the head's flush timer.
+fn worker_loop(shared: &Arc<Shared>) {
+    // One scratch arena per worker: compiled plans execute inside it,
+    // growing it monotonically to the largest model × batch seen. Reusing
+    // it across batches keeps plan inference free of steady-state heap
+    // allocations.
+    let mut arena = Arena::new();
+    let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
     loop {
-        let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
         let now = shared.clock.now_ns();
         for ticket in queue.take_expired(now) {
             shared.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
@@ -555,48 +551,29 @@ fn batcher_loop(shared: &Arc<Shared>, tx: &SyncSender<Vec<Ticket<Job>>>) {
         match queue.next_batch(now) {
             Decision::Dispatch(batch) => {
                 t2c_obs::gauge_set("serve.queue_depth", queue.len() as f64);
+                let more = !queue.is_empty();
                 drop(queue);
-                // A full channel blocks here — that is the second tier of
-                // backpressure (the admission queue keeps filling and
-                // starts rejecting Busy).
-                if let Err(rejected) = tx.send(batch) {
-                    for ticket in rejected.0 {
-                        ticket.payload.pending.fulfill(Err(ServeError::ShuttingDown));
-                    }
+                if more {
+                    shared.wakeup.notify_one();
                 }
+                process_batch(shared, batch, &mut arena);
+                queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             }
             Decision::WaitUntil(at) => {
-                // Cap the real wait so fake-clock tests stay responsive;
-                // admissions notify the condvar anyway.
+                // Cap the real wait so fake-clock tests stay responsive.
                 let dur = Duration::from_nanos(at.saturating_sub(now).clamp(1, 5_000_000));
-                drop(shared.wakeup.wait_timeout(queue, dur));
+                queue = shared
+                    .wakeup
+                    .wait_timeout(queue, dur)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
             }
             Decision::Idle => {
                 if shared.stop.load(Ordering::Acquire) {
                     break;
                 }
-                drop(shared.wakeup.wait_timeout(queue, Duration::from_millis(5)));
+                queue = shared.wakeup.wait(queue).unwrap_or_else(PoisonError::into_inner);
             }
-        }
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Vec<Ticket<Job>>>>>) {
-    // One scratch arena per worker: compiled plans execute inside it,
-    // growing it monotonically to the largest model × batch seen. Reusing
-    // it across batches keeps plan inference free of steady-state heap
-    // allocations.
-    let mut arena = Arena::new();
-    loop {
-        // Holding the lock only while *waiting* is fine: processing
-        // happens after the guard drops, so workers overlap on compute.
-        let msg = {
-            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.recv()
-        };
-        match msg {
-            Ok(batch) => process_batch(shared, batch, &mut arena),
-            Err(_) => break,
         }
     }
 }
@@ -613,8 +590,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn process_batch(shared: &Arc<Shared>, tickets: Vec<Ticket<Job>>, arena: &mut Arena) {
     let now = shared.clock.now_ns();
-    // Last-chance expiry: a ticket may have timed out while the batch sat
-    // in the dispatch channel.
+    // Last-chance expiry: the clock is read again here, after the queue
+    // lock was dropped, so a ticket that expired in between never runs.
     let mut live = Vec::with_capacity(tickets.len());
     for ticket in tickets {
         if ticket.deadline_ns <= now {
@@ -1130,6 +1107,56 @@ mod tests {
         assert!(matches!(handle.infer("flaky", bad), Err(ServeError::Internal(_))));
         assert!(reg.get("flaky").unwrap().is_poisoned());
         server.shutdown();
+    }
+
+    #[test]
+    fn idle_server_dispatches_a_lone_request_without_waiting() {
+        // Frozen fake time: a request that had to wait for a flush window
+        // would never dispatch. With the default policy an idle worker
+        // takes it at once.
+        let (reg, admitted) = mlp_registry();
+        let clock = Arc::new(FakeClock::new(1_000));
+        let server = Server::start_with_clock(
+            Arc::clone(&reg),
+            ServerConfig::default(),
+            Arc::<FakeClock>::clone(&clock),
+        );
+        let codes = codes_for(&admitted, 1, 3);
+        let want = admitted.model().run_quantized(&codes).unwrap();
+        let pending = server.handle().submit("mlp", codes).unwrap();
+        let got = pending.wait_timeout(Duration::from_secs(5)).expect("must not wait out a window");
+        assert_eq!(got.unwrap().as_slice(), want.as_slice());
+        let stats = server.shutdown();
+        assert_eq!((stats.completed, stats.batches), (1, 1));
+    }
+
+    #[test]
+    fn requests_arriving_while_workers_are_busy_share_the_next_batch() {
+        // One worker held 200 ms per batch: the first request occupies it,
+        // and the eight that arrive meanwhile must leave together once it
+        // is free, not as singletons cut while it was busy.
+        let (reg, admitted) = mlp_registry();
+        let cfg = ServerConfig {
+            batch: BatchConfig { max_delay_ns: 0, ..BatchConfig::default() },
+            workers: 1,
+            pace_batch_ns: 200_000_000,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(Arc::clone(&reg), cfg);
+        let handle = server.handle();
+        let mut pending = vec![handle.submit("mlp", codes_for(&admitted, 1, 0)).unwrap()];
+        while handle.stats().batches < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for i in 1..9 {
+            pending.push(handle.submit("mlp", codes_for(&admitted, 1, i)).unwrap());
+        }
+        for (i, p) in pending.into_iter().enumerate() {
+            let want = admitted.model().run_quantized(&codes_for(&admitted, 1, i)).unwrap();
+            assert_eq!(p.wait().unwrap().as_slice(), want.as_slice(), "request {i}");
+        }
+        let stats = server.shutdown();
+        assert_eq!((stats.batches, stats.batched_rows), (2, 9));
     }
 
     #[test]
