@@ -177,171 +177,74 @@ impl Accelerator {
     }
 
     /// Computes the timing trace for a given input shape without executing
-    /// the datapath (shapes are propagated symbolically).
+    /// the datapath. Shapes come from the model's static shape walk
+    /// ([`IntModel::infer_shapes`]) and dense MAC and element counts from
+    /// [`IntOp::cost`]; this model adds the array's tiling, cycle,
+    /// zero-skip and byte accounting on top.
     ///
     /// # Errors
     ///
-    /// Returns an error if shapes cannot be propagated.
+    /// Returns [`AccelError::Tensor`] if a node's sources or shape rule
+    /// fail on `input_dims`.
     pub fn trace(&self, input_dims: &[usize]) -> Result<ExecutionTrace> {
         let cfg = self.config;
-        let mut shapes: Vec<Vec<usize>> = Vec::with_capacity(self.model.nodes.len());
+        let shapes = self.model.infer_shapes(input_dims)?;
         let mut trace = ExecutionTrace::default();
-        for node in &self.model.nodes {
-            let in_shape = |i: usize| -> Vec<usize> {
-                match node.inputs.get(i) {
-                    Some(t2c_core::intmodel::Src::Input) | None => input_dims.to_vec(),
-                    Some(t2c_core::intmodel::Src::Node(id)) => shapes[*id].clone(),
-                }
+        for (node, out) in self.model.nodes.iter().zip(&shapes) {
+            let ins = node.operand_dims(input_dims, &shapes);
+            let cost = node.op.cost(&ins, out);
+            let activation_bytes = cost.in_elems + cost.out_elems;
+            // Output channels map to array rows; every other output axis
+            // (pixels, batch rows) to columns.
+            let tiles = |oc: usize| {
+                (oc.div_ceil(cfg.pe_rows) * (cost.out_elems as usize / oc).div_ceil(cfg.pe_cols))
+                    as u64
             };
-            let out_shape: Vec<usize> = match &node.op {
-                IntOp::Quantize { .. } => input_dims.to_vec(),
-                IntOp::Conv2d { weight, spec, weight_spec, .. } => {
-                    let xin = in_shape(0);
-                    let (n, _c, h, w) = (xin[0], xin[1], xin[2], xin[3]);
-                    let k = weight.dim(2);
-                    let oh = spec.out_extent(h, k).map_err(AccelError::Tensor)?;
-                    let ow = spec.out_extent(w, k).map_err(AccelError::Tensor)?;
-                    let oc = weight.dim(0);
-                    let cg = weight.dim(1);
-                    let nz = weight.numel() - weight.count_zeros();
-                    let macs_dense = (n * oc * oh * ow * cg * k * k) as u64;
-                    let macs = if cfg.zero_skipping {
-                        // Useful MACs scale with the non-zero fraction.
-                        (macs_dense as f64 * nz as f64 / weight.numel().max(1) as f64) as u64
+            let (macs, cycles, weight_bytes, activation_bytes) = match &node.op {
+                IntOp::Conv2d { weight, weight_spec, .. }
+                | IntOp::Linear { weight, weight_spec, .. } => {
+                    let (numel, oc) = (weight.numel(), weight.dim(0));
+                    let depth = numel / oc;
+                    let nz = numel - weight.count_zeros();
+                    let (macs, inner) = if cfg.zero_skipping {
+                        // Useful MACs and per-tile depth scale with the
+                        // non-zero fraction.
+                        (
+                            (cost.macs as f64 * nz as f64 / numel as f64) as u64,
+                            ((depth as f64) * nz as f64 / numel as f64).ceil() as u64,
+                        )
                     } else {
-                        macs_dense
+                        (cost.macs, depth as u64)
                     };
-                    let tiles =
-                        (oc.div_ceil(cfg.pe_rows) * (n * oh * ow).div_ceil(cfg.pe_cols)) as u64;
-                    let inner = if cfg.zero_skipping {
-                        // Per-tile depth shrinks with weight density.
-                        (((cg * k * k) as f64) * nz as f64 / weight.numel().max(1) as f64).ceil()
-                            as u64
-                    } else {
-                        (cg * k * k) as u64
-                    };
-                    trace.layers.push(LayerTrace {
-                        name: node.name.clone(),
-                        macs,
-                        cycles: tiles * inner.max(1),
-                        weight_bytes: (nz * weight_spec.bits as usize).div_ceil(8) as u64,
-                        activation_bytes: (xin.iter().product::<usize>() + n * oc * oh * ow) as u64,
-                    });
-                    vec![n, oc, oh, ow]
-                }
-                IntOp::Linear { weight, weight_spec, .. } => {
-                    let xin = in_shape(0);
-                    let rows: usize = xin[..xin.len() - 1].iter().product();
-                    let din = xin[xin.len() - 1];
-                    let dout = weight.dim(0);
-                    let nz = weight.numel() - weight.count_zeros();
-                    let macs_dense = (rows * dout * din) as u64;
-                    let macs = if cfg.zero_skipping {
-                        (macs_dense as f64 * nz as f64 / weight.numel().max(1) as f64) as u64
-                    } else {
-                        macs_dense
-                    };
-                    let tiles = (dout.div_ceil(cfg.pe_rows) * rows.div_ceil(cfg.pe_cols)) as u64;
-                    let inner = if cfg.zero_skipping {
-                        ((din as f64) * nz as f64 / weight.numel().max(1) as f64).ceil() as u64
-                    } else {
-                        din as u64
-                    };
-                    trace.layers.push(LayerTrace {
-                        name: node.name.clone(),
-                        macs,
-                        cycles: tiles * inner.max(1),
-                        weight_bytes: (nz * weight_spec.bits as usize).div_ceil(8) as u64,
-                        activation_bytes: (rows * (din + dout)) as u64,
-                    });
-                    let mut out = xin.clone();
-                    *out.last_mut().expect("non-empty shape") = dout;
-                    out
+                    let wbytes = (nz * weight_spec.bits as usize).div_ceil(8) as u64;
+                    (macs, tiles(oc) * inner.max(1), wbytes, activation_bytes)
                 }
                 IntOp::LinearSparse { weight, weight_spec, .. } => {
                     // A compressed layer skips zeros by construction: only
                     // the stored slots are fetched and multiplied, whether
                     // or not the array's zero-skipping gate is on.
-                    let xin = in_shape(0);
-                    let rows: usize = xin[..xin.len() - 1].iter().product();
-                    let din = xin[xin.len() - 1];
-                    let dout = weight.rows;
                     let stored = weight.stored();
-                    let total = (weight.rows * weight.cols).max(1);
-                    let tiles = (dout.div_ceil(cfg.pe_rows) * rows.div_ceil(cfg.pe_cols)) as u64;
-                    let inner = ((din as f64) * stored as f64 / total as f64).ceil() as u64;
-                    trace.layers.push(LayerTrace {
-                        name: node.name.clone(),
-                        macs: (rows * stored) as u64,
-                        cycles: tiles * inner.max(1),
-                        weight_bytes: (stored * weight_spec.bits as usize).div_ceil(8) as u64,
-                        activation_bytes: (rows * (din + dout)) as u64,
-                    });
-                    let mut out = xin.clone();
-                    *out.last_mut().expect("non-empty shape") = dout;
-                    out
+                    let total = weight.rows * weight.cols;
+                    let inner = ((weight.cols as f64) * stored as f64 / total as f64).ceil() as u64;
+                    let wbytes = (stored * weight_spec.bits as usize).div_ceil(8) as u64;
+                    (cost.macs, tiles(weight.rows) * inner.max(1), wbytes, activation_bytes)
                 }
-                IntOp::BmmRequant { transpose_rhs, .. } => {
-                    let a = in_shape(0);
-                    let b = in_shape(1);
-                    let (bs, m, k) = (a[0], a[1], a[2]);
-                    let n2 = if *transpose_rhs { b[1] } else { b[2] };
-                    let macs = (bs * m * k * n2) as u64;
-                    trace.layers.push(LayerTrace {
-                        name: node.name.clone(),
-                        macs,
-                        cycles: (bs as u64)
-                            * (m.div_ceil(cfg.pe_rows) * n2.div_ceil(cfg.pe_cols)) as u64
-                            * k as u64,
-                        weight_bytes: 0,
-                        activation_bytes: (a.iter().product::<usize>()
-                            + b.iter().product::<usize>())
-                            as u64,
-                    });
-                    vec![bs, m, n2]
+                IntOp::BmmRequant { .. } => {
+                    let ([bs, m, k], n) = ([out[0], out[1], ins[0][2]], out[2]);
+                    let cycles =
+                        (bs * m.div_ceil(cfg.pe_rows) * n.div_ceil(cfg.pe_cols) * k) as u64;
+                    // Both operands stream in; the output stays on chip.
+                    (cost.macs, cycles, 0, cost.in_elems)
                 }
-                IntOp::AddRequant { .. } => in_shape(0),
-                IntOp::AddConstRequant { .. } => in_shape(0),
-                IntOp::MaxPool2d { spec } => {
-                    let xin = in_shape(0);
-                    let oh = (xin[2] + 2 * spec.padding - spec.kernel) / spec.stride + 1;
-                    let ow = (xin[3] + 2 * spec.padding - spec.kernel) / spec.stride + 1;
-                    vec![xin[0], xin[1], oh, ow]
-                }
-                IntOp::GlobalAvgPool { .. } => {
-                    let xin = in_shape(0);
-                    vec![xin[0], xin[1]]
-                }
-                IntOp::Flatten => {
-                    let xin = in_shape(0);
-                    vec![xin[0], xin[1..].iter().product()]
-                }
-                IntOp::PatchToTokens => {
-                    let xin = in_shape(0);
-                    vec![xin[0], xin[2] * xin[3], xin[1]]
-                }
-                IntOp::ConcatToken { .. } => {
-                    let xin = in_shape(0);
-                    vec![xin[0], xin[1] + 1, xin[2]]
-                }
-                IntOp::TakeToken { .. } => {
-                    let xin = in_shape(0);
-                    vec![xin[0], xin[2]]
-                }
-                IntOp::SplitHeads { heads } => {
-                    let xin = in_shape(0);
-                    vec![xin[0] * heads, xin[1], xin[2] / heads]
-                }
-                IntOp::MergeHeads { heads } => {
-                    let xin = in_shape(0);
-                    vec![xin[0] / heads, xin[1], xin[2] * heads]
-                }
-                IntOp::Requant { .. }
-                | IntOp::LayerNorm(_)
-                | IntOp::SoftmaxLut(_)
-                | IntOp::GeluLut(_) => in_shape(0),
+                _ => continue,
             };
-            shapes.push(out_shape);
+            trace.layers.push(LayerTrace {
+                name: node.name.clone(),
+                macs,
+                cycles,
+                weight_bytes,
+                activation_bytes,
+            });
         }
         Ok(trace)
     }
@@ -370,7 +273,7 @@ mod tests {
     use super::*;
     use t2c_core::intmodel::Src;
     use t2c_core::{FixedPointFormat, MulQuant, QuantSpec};
-    use t2c_tensor::ops::Conv2dSpec;
+    use t2c_tensor::ops::{Conv2dSpec, PoolSpec};
 
     fn model(weight: Tensor<i32>) -> IntModel {
         let mut m = IntModel::new();
@@ -484,6 +387,23 @@ mod tests {
         let accel = Accelerator::new(tampered, AcceleratorConfig::dense16x16());
         let x = Tensor::from_fn(&[1, 2, 6, 6], |i| (i as f32) * 0.02);
         assert!(matches!(accel.verify_against(&m, &x), Err(AccelError::Mismatch { .. })));
+    }
+
+    #[test]
+    fn malformed_pool_graphs_are_trace_errors() {
+        // Flatten → MaxPool (rank-2 pool input) and an 8×8 window on a 4×4
+        // input used to index out of bounds inside the shape arms.
+        for (flatten, kernel) in [(true, 2), (false, 8)] {
+            let mut m = IntModel::new();
+            m.push("input", IntOp::Quantize { scale: 0.1, spec: QuantSpec::signed(8) }, vec![]);
+            if flatten {
+                m.push("flat", IntOp::Flatten, vec![Src::Node(0)]);
+            }
+            let src = Src::Node(m.len() - 1);
+            m.push("pool", IntOp::MaxPool2d { spec: PoolSpec::new(kernel) }, vec![src]);
+            let accel = Accelerator::new(m, AcceleratorConfig::dense16x16());
+            assert!(matches!(accel.trace(&[1, 1, 4, 4]), Err(AccelError::Tensor(_))));
+        }
     }
 
     #[test]

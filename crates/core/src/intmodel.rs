@@ -292,6 +292,252 @@ impl IntOp {
             _ => 1,
         }
     }
+
+    /// The output shape for operands of shape `inputs` — the one static
+    /// shape rule that the interpreter, the plan compiler, lint, the
+    /// error-bound certifier and the accelerator model all share.
+    /// `Quantize` reads the model input, so its one operand is the input
+    /// shape.
+    ///
+    /// It checks every precondition the kernels index by: operand ranks
+    /// and nonzero extents; non-empty MAC weights and requantizer
+    /// parameters; conv group/channel fit and windows; linear `IN`; pool
+    /// windows that touch the input; residual operand equality and
+    /// constant broadcast; token length and index; head divisibility; the
+    /// bmm contraction; LayerNorm parameter lengths; and at most 31 pooled
+    /// fractional bits. LayerNorm and softmax reduce the last axis, so it
+    /// must not be the batch axis (rank ≥ 2). LUT table coverage is a
+    /// value-domain property and stays with lint (T2C301).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the violated precondition.
+    pub fn out_dims(&self, inputs: &[&[usize]]) -> Result<Vec<usize>> {
+        let op = self.label();
+        let x = |idx: usize| -> Result<&[usize]> {
+            inputs.get(idx).copied().ok_or_else(|| {
+                TensorError::InvalidArgument(format!(
+                    "`{op}` expects operand {idx} but got {} operand(s)",
+                    inputs.len()
+                ))
+            })
+        };
+        let mismatch = |lhs: &[usize], rhs: &[usize]| TensorError::ShapeMismatch {
+            lhs: lhs.to_vec(),
+            rhs: rhs.to_vec(),
+            op,
+        };
+        let geometry = |msg: String| Err(TensorError::InvalidGeometry(format!("`{op}`: {msg}")));
+        if let Some(d) = inputs.iter().find(|d| d.contains(&0)) {
+            return geometry(format!("operand {d:?} has a zero extent"));
+        }
+        match self {
+            IntOp::Quantize { .. } | IntOp::Requant { .. } | IntOp::GeluLut(_) => {
+                Ok(x(0)?.to_vec())
+            }
+            IntOp::Conv2d { weight, spec, requant, .. } => {
+                let [n, c, h, w] = ranked(x(0)?, op)?;
+                let [oc, cg, kh, kw] = mac_weight(weight.dims(), op)?;
+                requant_params(Some(requant), op)?;
+                let g = spec.groups;
+                if g == 0 || cg * g != c || oc % g != 0 {
+                    return geometry(format!(
+                        "weight {:?} with {g} group(s) does not fit {c} input channels",
+                        weight.dims()
+                    ));
+                }
+                Ok(vec![n, oc, spec.out_extent(h, kh)?, spec.out_extent(w, kw)?])
+            }
+            IntOp::Linear { weight, requant, .. } => {
+                let [out_f, in_f] = mac_weight(weight.dims(), op)?;
+                requant_params(requant.as_ref(), op)?;
+                linear_out(x(0)?, out_f, in_f, op)
+            }
+            IntOp::LinearSparse { weight, requant, .. } => {
+                let [out_f, in_f] = mac_weight(&[weight.rows, weight.cols], op)?;
+                requant_params(requant.as_ref(), op)?;
+                linear_out(x(0)?, out_f, in_f, op)
+            }
+            IntOp::AddRequant { .. } => {
+                let (a, b) = (x(0)?, x(1)?);
+                if a != b {
+                    return Err(mismatch(a, b));
+                }
+                Ok(a.to_vec())
+            }
+            IntOp::AddConstRequant { value, .. } => {
+                // The constant tiles the non-batch extent.
+                let a = x(0)?;
+                let inner: usize = a.iter().skip(1).product();
+                if value.numel() == 0 || !inner.is_multiple_of(value.numel()) {
+                    return Err(mismatch(a, value.dims()));
+                }
+                Ok(a.to_vec())
+            }
+            IntOp::MaxPool2d { spec } => {
+                let [n, c, h, w] = ranked(x(0)?, op)?;
+                if spec.padding >= spec.kernel.max(1) {
+                    // A window could then lie entirely in the padding.
+                    return geometry(format!(
+                        "padding {} reaches a kernel of {}",
+                        spec.padding, spec.kernel
+                    ));
+                }
+                Ok(vec![n, c, spec.out_extent(h)?, spec.out_extent(w)?])
+            }
+            IntOp::GlobalAvgPool { frac_bits } => {
+                let [n, c, _, _] = ranked(x(0)?, op)?;
+                if *frac_bits > 31 {
+                    return geometry(format!("{frac_bits} fractional bits exceed 31"));
+                }
+                Ok(vec![n, c])
+            }
+            IntOp::Flatten => match x(0)? {
+                [n, rest @ ..] => Ok(vec![*n, rest.iter().product()]),
+                [] => geometry("input has rank 0".into()),
+            },
+            IntOp::PatchToTokens => {
+                let [n, d, h, w] = ranked(x(0)?, op)?;
+                Ok(vec![n, h * w, d])
+            }
+            IntOp::ConcatToken { token } => {
+                let [n, l, d] = ranked(x(0)?, op)?;
+                if token.numel() != d {
+                    return Err(mismatch(token.dims(), &[d]));
+                }
+                Ok(vec![n, l + 1, d])
+            }
+            IntOp::TakeToken { index } => {
+                let [n, l, d] = ranked(x(0)?, op)?;
+                if *index >= l {
+                    return geometry(format!("token {index} out of {l}"));
+                }
+                Ok(vec![n, d])
+            }
+            IntOp::SplitHeads { heads } => {
+                let [n, l, d] = ranked(x(0)?, op)?;
+                if *heads == 0 || d % heads != 0 {
+                    return geometry(format!("cannot split width {d} into {heads} head(s)"));
+                }
+                Ok(vec![n * heads, l, d / heads])
+            }
+            IntOp::MergeHeads { heads } => {
+                let [nh, l, dh] = ranked(x(0)?, op)?;
+                if *heads == 0 || nh % heads != 0 {
+                    return geometry(format!("cannot merge {nh} sequences from {heads} head(s)"));
+                }
+                Ok(vec![nh / heads, l, dh * heads])
+            }
+            IntOp::BmmRequant { transpose_rhs, .. } => {
+                let ([bs, m, k], b) = (ranked(x(0)?, op)?, x(1)?);
+                let [bs_b, r0, r1] = ranked(b, op)?;
+                let (k_rhs, n) = if *transpose_rhs { (r1, r0) } else { (r0, r1) };
+                if bs != bs_b || k != k_rhs {
+                    return Err(mismatch(x(0)?, b));
+                }
+                Ok(vec![bs, m, n])
+            }
+            IntOp::LayerNorm(ln) => {
+                let a = x(0)?;
+                let [_, .., d] = *a else { return geometry(format!("{a:?} has no feature axis")) };
+                if ln.gamma_m.len() != d || ln.beta_b.len() != d {
+                    return geometry(format!(
+                        "gamma/beta lengths {}/{} do not match the {d}-wide feature axis",
+                        ln.gamma_m.len(),
+                        ln.beta_b.len()
+                    ));
+                }
+                Ok(a.to_vec())
+            }
+            IntOp::SoftmaxLut(_) => {
+                let a = x(0)?;
+                if a.len() < 2 {
+                    return geometry(format!("{a:?} has no feature axis"));
+                }
+                Ok(a.to_vec())
+            }
+        }
+    }
+
+    /// Element counts of one execution for operand shapes `inputs` and the
+    /// output shape `out` that [`IntOp::out_dims`] returned for them.
+    pub fn cost(&self, inputs: &[&[usize]], out: &[usize]) -> OpCost {
+        let out_elems = out.iter().product::<usize>() as u64;
+        let (macs, weight_elems) = match self {
+            IntOp::Conv2d { weight, .. } | IntOp::Linear { weight, .. } => {
+                // Each output accumulates one weight row: C/g·K·K or IN.
+                let per_out = weight.numel() / weight.dims().first().map_or(1, |&d| d.max(1));
+                (out_elems * per_out as u64, weight.numel() as u64)
+            }
+            // Skip-zero kernel: only stored slots are multiplied.
+            IntOp::LinearSparse { weight, .. } => {
+                let rows = out_elems / weight.rows.max(1) as u64;
+                (rows * weight.stored() as u64, weight.stored() as u64)
+            }
+            IntOp::BmmRequant { .. } => {
+                let k = inputs.first().and_then(|a| a.last()).copied().unwrap_or(0);
+                (out_elems * k as u64, 0)
+            }
+            _ => (0, 0),
+        };
+        let in_elems = inputs.iter().map(|d| d.iter().product::<usize>() as u64).sum();
+        OpCost { macs, weight_elems, in_elems, out_elems }
+    }
+}
+
+/// Element counts of one op execution ([`IntOp::cost`]) — what profiling
+/// and the accelerator model derive MACs and traffic from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpCost {
+    /// Multiply-accumulates (stored MACs for `LinearSparse`).
+    pub macs: u64,
+    /// Weight elements read (stored slots for `LinearSparse`).
+    pub weight_elems: u64,
+    /// Operand elements read.
+    pub in_elems: u64,
+    /// Output elements written.
+    pub out_elems: u64,
+}
+
+/// `dims` as a fixed-rank array, or a rank error.
+fn ranked<const R: usize>(dims: &[usize], op: &'static str) -> Result<[usize; R]> {
+    dims.try_into().map_err(|_| TensorError::RankMismatch { got: dims.len(), expected: R, op })
+}
+
+/// A MAC weight's dims, refusing a zero extent: the kernels split work
+/// into nonzero units.
+fn mac_weight<const R: usize>(dims: &[usize], op: &'static str) -> Result<[usize; R]> {
+    if dims.contains(&0) {
+        return Err(TensorError::InvalidGeometry(format!("`{op}` weight {dims:?} is empty")));
+    }
+    ranked(dims, op)
+}
+
+/// A requantizer must carry at least one multiplier and one bias: its
+/// per-channel lookups clamp the channel to the last entry.
+fn requant_params(requant: Option<&MulQuant>, op: &'static str) -> Result<()> {
+    match requant {
+        Some(r) if r.scale_raw.is_empty() || r.bias_raw.is_empty() => {
+            Err(TensorError::InvalidArgument(format!(
+                "`{op}` requantizer has {} multiplier(s) and {} bias(es)",
+                r.scale_raw.len(),
+                r.bias_raw.len()
+            )))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// `[N, IN]` or `[N, L, IN]` against an `[OUT, IN]` weight.
+fn linear_out(x: &[usize], out_f: usize, in_f: usize, op: &'static str) -> Result<Vec<usize>> {
+    match x {
+        [.., last] if (2..=3).contains(&x.len()) && *last == in_f => {
+            let mut out = x.to_vec();
+            out[x.len() - 1] = out_f;
+            Ok(out)
+        }
+        _ => Err(TensorError::ShapeMismatch { lhs: x.to_vec(), rhs: vec![out_f, in_f], op }),
+    }
 }
 
 /// One node: an op plus where its operands come from.
@@ -303,6 +549,33 @@ pub struct IntNode {
     pub inputs: Vec<Src>,
     /// Human-readable name for reports and export manifests.
     pub name: String,
+}
+
+impl IntNode {
+    /// Shapes of the operands this node reads, given the model input's
+    /// shape and the earlier nodes' output shapes. `Quantize` reads the
+    /// model input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand is unlisted or not yet in `shapes`;
+    /// [`IntModel::infer_shapes`] refuses such graphs first.
+    pub fn operand_dims<'a>(
+        &self,
+        input: &'a [usize],
+        shapes: &'a [Vec<usize>],
+    ) -> Vec<&'a [usize]> {
+        if matches!(self.op, IntOp::Quantize { .. }) {
+            return vec![input];
+        }
+        self.inputs[..self.op.arity()]
+            .iter()
+            .map(|src| match src {
+                Src::Input => input,
+                Src::Node(id) => &shapes[*id][..],
+            })
+            .collect()
+    }
 }
 
 /// An integer-only network: a topologically ordered op list.
@@ -386,20 +659,44 @@ impl IntModel {
         values.pop().flatten().ok_or_else(|| TensorError::InvalidArgument("empty IntModel".into()))
     }
 
-    /// Keep-everything execution — the hook `run_all` and the plan
-    /// compiler's shape inference use.
+    /// Keep-everything execution — the hook `run_all` uses.
     fn execute(&self, input: &Tensor<i32>) -> Result<Vec<Tensor<i32>>> {
         let (values, _) = self.execute_droppable(input, true)?;
         Ok(values.into_iter().map(|v| v.expect("keep_all retains every value")).collect())
     }
 
-    /// Per-node output shapes for a quantized input of `input_dims` —
-    /// computed by running the interpreter on zeros (the plan compiler's
-    /// shape-inference pass; graphs are data-independent in shape).
-    pub(crate) fn infer_shapes(&self, input_dims: &[usize]) -> Result<Vec<Vec<usize>>> {
-        let zeros = Tensor::<i32>::zeros(input_dims);
-        let values = self.execute(&zeros)?;
-        Ok(values.into_iter().map(|v| v.dims().to_vec()).collect())
+    /// Per-node output shapes for a quantized input of `input_dims`,
+    /// derived statically from [`IntOp::out_dims`] without executing
+    /// anything. Sources are checked first — dangling or forward
+    /// references and missing operands — then each node's shape rule.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failure, naming the node.
+    pub fn infer_shapes(&self, input_dims: &[usize]) -> Result<Vec<Vec<usize>>> {
+        let mut shapes: Vec<Vec<usize>> = Vec::with_capacity(self.nodes.len());
+        for (i, node) in self.nodes.iter().enumerate() {
+            let fail = |msg: String| {
+                Err(TensorError::InvalidArgument(format!("node {i} ({}) {msg}", node.name)))
+            };
+            for src in &node.inputs {
+                match src {
+                    Src::Node(id) if *id >= i => {
+                        return fail(format!("reads not-yet-computed node {id}"))
+                    }
+                    _ => {}
+                }
+            }
+            let arity = node.op.arity();
+            if node.inputs.len() < arity {
+                return fail(format!("expects {arity} operand(s) but lists {}", node.inputs.len()));
+            }
+            let out = node.op.out_dims(&node.operand_dims(input_dims, &shapes)).map_err(|e| {
+                TensorError::InvalidArgument(format!("node {i} ({}): {e}", node.name))
+            })?;
+            shapes.push(out);
+        }
+        Ok(shapes)
     }
 
     /// Index of the step after which each node's output is dead: the
@@ -423,49 +720,35 @@ impl IntModel {
         last
     }
 
-    /// The interpreter loop. With `keep_all` every node's output is
-    /// retained (the `run_all` contract); otherwise each intermediate is
-    /// dropped right after its last consumer runs, so peak liveness is
-    /// bounded by the widest producer/consumer frontier instead of the sum
-    /// of every layer in the network. Returns the (partially `None` when
-    /// dropping) value list and the peak number of simultaneously live
-    /// output elements.
+    /// The interpreter loop. Shapes are inferred up front, so a malformed
+    /// graph fails before any kernel runs. With `keep_all` every node's
+    /// output is retained (the `run_all` contract); otherwise each
+    /// intermediate is dropped right after its last consumer runs, so peak
+    /// liveness is bounded by the widest producer/consumer frontier
+    /// instead of the sum of every layer in the network. Returns the
+    /// (partially `None` when dropping) value list and the peak number of
+    /// simultaneously live output elements.
     fn execute_droppable(
         &self,
         input: &Tensor<i32>,
         keep_all: bool,
     ) -> Result<(Vec<Option<Tensor<i32>>>, usize)> {
+        let shapes = self.infer_shapes(input.dims())?;
         let last = self.last_uses();
         let mut values: Vec<Option<Tensor<i32>>> = Vec::with_capacity(self.nodes.len());
         let mut live_elems = 0usize;
         let mut peak_elems = 0usize;
         for (i, node) in self.nodes.iter().enumerate() {
             let _t = t2c_obs::Timer::scoped_with(|| format!("layer.{}.forward_ns", node.name));
-            let fetch = |src: &Src| -> Result<&Tensor<i32>> {
-                match src {
-                    Src::Input => Ok(input),
-                    // Liveness covers every read, so a computed value can
-                    // only be missing on a malformed (forward/dangling)
-                    // reference — the same error either way.
-                    Src::Node(id) => values.get(*id).and_then(Option::as_ref).ok_or_else(|| {
-                        TensorError::InvalidArgument(format!(
-                            "node {i} reads not-yet-computed node {id}"
-                        ))
-                    }),
+            // `infer_shapes` proved every operand is listed and earlier,
+            // and liveness keeps each value until its last reader.
+            let operand = |idx: usize| -> &Tensor<i32> {
+                match node.inputs[idx] {
+                    Src::Input => input,
+                    Src::Node(id) => values[id].as_ref().expect("operand is live"),
                 }
             };
-            // Operand access must be fallible: a malformed graph (too few
-            // inputs for the op) is a user error, not a panic.
-            let operand = |idx: usize| -> Result<&Tensor<i32>> {
-                let src = node.inputs.get(idx).ok_or_else(|| {
-                    TensorError::InvalidArgument(format!(
-                        "node {i} ({}) expects operand {idx} but lists {} input(s)",
-                        node.name,
-                        node.inputs.len()
-                    ))
-                })?;
-                fetch(src)
-            };
+            let out_dims = &shapes[i];
             // Routes a requantizer through the saturation-counting path when
             // profiling so each node reports `layer.<name>.saturated`.
             let requant_counted = |r: &MulQuant, acc: &Tensor<i32>, axis: usize, relu: bool| {
@@ -477,164 +760,86 @@ impl IntModel {
                     r.apply(acc, axis, relu)
                 }
             };
-            let out =
-                match &node.op {
-                    IntOp::Quantize { .. } => input.clone(),
-                    IntOp::Conv2d { weight, bias, spec, requant, relu, .. } => {
-                        let xin = operand(0)?;
-                        require_weight(&node.name, weight.dims())?;
-                        let acc = conv2d_i32(xin, weight, None, *spec)?;
-                        let acc = match bias {
-                            Some(b) => add_channel_bias(&acc, b, 1),
-                            None => acc,
-                        };
-                        requant_counted(requant, &acc, 1, *relu)
+            let out = match &node.op {
+                IntOp::Quantize { .. } => input.clone(),
+                IntOp::Conv2d { weight, bias, spec, requant, relu, .. } => {
+                    let acc = conv2d_i32(operand(0), weight, None, *spec)?;
+                    let acc = match bias {
+                        Some(b) => add_channel_bias(&acc, b, 1),
+                        None => acc,
+                    };
+                    requant_counted(requant, &acc, 1, *relu)
+                }
+                IntOp::Linear { bias, requant, relu, .. }
+                | IntOp::LinearSparse { bias, requant, relu, .. } => {
+                    let acc = linear_i32(operand(0), &node.op, out_dims)?;
+                    let axis = acc.rank() - 1;
+                    let acc = match bias {
+                        Some(b) => add_channel_bias(&acc, b, axis),
+                        None => acc,
+                    };
+                    match requant {
+                        Some(r) => requant_counted(r, &acc, axis, *relu),
+                        None => acc,
                     }
-                    IntOp::Linear { weight, bias, requant, relu, .. } => {
-                        let xin = operand(0)?;
-                        require_weight(&node.name, weight.dims())?;
-                        let acc = linear_i32(xin, weight)?;
-                        let acc = match bias {
-                            Some(b) => add_channel_bias(&acc, b, acc.rank() - 1),
-                            None => acc,
-                        };
-                        match requant {
-                            Some(r) => requant_counted(r, &acc, acc.rank() - 1, *relu),
-                            None => acc,
-                        }
-                    }
-                    IntOp::LinearSparse { weight, bias, requant, relu, .. } => {
-                        let xin = operand(0)?;
-                        require_weight(&node.name, &[weight.rows, weight.cols])?;
-                        let acc = linear_sparse_i32(xin, weight)?;
-                        let acc = match bias {
-                            Some(b) => add_channel_bias(&acc, b, acc.rank() - 1),
-                            None => acc,
-                        };
-                        match requant {
-                            Some(r) => requant_counted(r, &acc, acc.rank() - 1, *relu),
-                            None => acc,
-                        }
-                    }
-                    IntOp::AddRequant { m_a, m_b, out_spec, relu } => {
-                        let a = operand(0)?;
-                        let b = operand(1)?;
-                        add_requant(a, b, *m_a, *m_b, *out_spec, *relu)?
-                    }
-                    IntOp::AddConstRequant { value, m, out_spec } => {
-                        let a = operand(0)?;
-                        add_const_requant(a, value, *m, *out_spec)?
-                    }
-                    IntOp::MaxPool2d { spec } => {
-                        let a = operand(0)?;
-                        max_pool_i32(a, *spec)?
-                    }
-                    IntOp::GlobalAvgPool { frac_bits } => {
-                        let a = operand(0)?;
-                        global_avg_pool_i32(a, *frac_bits)?
-                    }
-                    IntOp::Flatten => {
-                        let a = operand(0)?;
-                        let n = a.dim(0);
-                        let rest = a.numel() / n.max(1);
-                        a.reshape(&[n, rest])?
-                    }
-                    IntOp::PatchToTokens => {
-                        let a = operand(0)?;
-                        let (n, d, h, w) = (a.dim(0), a.dim(1), a.dim(2), a.dim(3));
-                        a.reshape(&[n, d, h * w])?.permute(&[0, 2, 1])?
-                    }
-                    IntOp::ConcatToken { token } => {
-                        let a = operand(0)?;
-                        concat_token(a, token)?
-                    }
-                    IntOp::TakeToken { index } => {
-                        let a = operand(0)?;
-                        take_token(a, *index)?
-                    }
-                    IntOp::SplitHeads { heads } => {
-                        let a = operand(0)?;
-                        let (n, l, d) = (a.dim(0), a.dim(1), a.dim(2));
-                        a.reshape(&[n, l, *heads, d / heads])?
-                            .permute(&[0, 2, 1, 3])?
-                            .reshape(&[n * heads, l, d / heads])?
-                    }
-                    IntOp::MergeHeads { heads } => {
-                        let a = operand(0)?;
-                        let (nh, l, dh) = (a.dim(0), a.dim(1), a.dim(2));
-                        let n = nh / heads;
-                        a.reshape(&[n, *heads, l, dh])?.permute(&[0, 2, 1, 3])?.reshape(&[
-                            n,
-                            l,
-                            heads * dh,
-                        ])?
-                    }
-                    IntOp::BmmRequant { transpose_rhs, m, out_spec } => {
-                        let a = operand(0)?;
-                        let b = operand(1)?;
-                        // Only the transposing branch needs a new tensor; the
-                        // plain branch multiplies against the operand in place.
-                        let acc = if *transpose_rhs {
-                            let bt = b.permute(&[0, 2, 1])?;
-                            a.bmm_i(&bt)?
-                        } else {
-                            a.bmm_i(b)?
-                        };
-                        requant_per_tensor(&acc, *m, *out_spec, false)
-                    }
-                    IntOp::Requant { m, out_spec } => {
-                        let a = operand(0)?;
-                        requant_per_tensor(a, *m, *out_spec, false)
-                    }
-                    IntOp::LayerNorm(ln) => {
-                        let a = operand(0)?;
-                        ln.apply(a)
-                    }
-                    IntOp::SoftmaxLut(lut) => {
-                        let a = operand(0)?;
-                        lut.apply(a)
-                    }
-                    IntOp::GeluLut(lut) => {
-                        let a = operand(0)?;
-                        lut.apply(a)
-                    }
-                };
+                }
+                IntOp::AddRequant { m_a, m_b, out_spec, relu } => {
+                    add_requant(operand(0), operand(1), *m_a, *m_b, *out_spec, *relu)?
+                }
+                IntOp::AddConstRequant { value, m, out_spec } => {
+                    add_const_requant(operand(0), value, *m, *out_spec)
+                }
+                IntOp::MaxPool2d { spec } => max_pool_i32(operand(0), *spec),
+                IntOp::GlobalAvgPool { frac_bits } => global_avg_pool_i32(operand(0), *frac_bits),
+                IntOp::Flatten => operand(0).reshape(out_dims)?,
+                IntOp::PatchToTokens => {
+                    let a = operand(0);
+                    let (n, d, h, w) = (a.dim(0), a.dim(1), a.dim(2), a.dim(3));
+                    a.reshape(&[n, d, h * w])?.permute(&[0, 2, 1])?
+                }
+                IntOp::ConcatToken { token } => concat_token(operand(0), token),
+                IntOp::TakeToken { index } => take_token(operand(0), *index)?,
+                IntOp::SplitHeads { heads } => {
+                    let a = operand(0);
+                    let (n, l, d) = (a.dim(0), a.dim(1), a.dim(2));
+                    a.reshape(&[n, l, *heads, d / heads])?
+                        .permute(&[0, 2, 1, 3])?
+                        .reshape(out_dims)?
+                }
+                IntOp::MergeHeads { heads } => {
+                    let a = operand(0);
+                    let (nh, l, dh) = (a.dim(0), a.dim(1), a.dim(2));
+                    a.reshape(&[nh / heads, *heads, l, dh])?
+                        .permute(&[0, 2, 1, 3])?
+                        .reshape(out_dims)?
+                }
+                IntOp::BmmRequant { transpose_rhs, m, out_spec } => {
+                    let (a, b) = (operand(0), operand(1));
+                    // Only the transposing branch needs a new tensor; the
+                    // plain branch multiplies against the operand in place.
+                    let acc = if *transpose_rhs {
+                        let bt = b.permute(&[0, 2, 1])?;
+                        a.bmm_i(&bt)?
+                    } else {
+                        a.bmm_i(b)?
+                    };
+                    requant_per_tensor(&acc, *m, *out_spec, false)
+                }
+                IntOp::Requant { m, out_spec } => {
+                    requant_per_tensor(operand(0), *m, *out_spec, false)
+                }
+                IntOp::LayerNorm(ln) => ln.apply(operand(0)),
+                IntOp::SoftmaxLut(lut) => lut.apply(operand(0)),
+                IntOp::GeluLut(lut) => lut.apply(operand(0)),
+            };
             if t2c_obs::enabled() {
                 let name = &node.name;
-                let elements = out.numel() as u64;
-                let macs: u64 = match &node.op {
-                    IntOp::Conv2d { weight, .. } => {
-                        elements * (weight.dim(1) * weight.dim(2) * weight.dim(3)) as u64
-                    }
-                    IntOp::Linear { weight, .. } => elements * weight.dim(1) as u64,
-                    // Skip-zero kernel: only stored slots are multiplied.
-                    IntOp::LinearSparse { weight, .. } => {
-                        (elements / weight.rows.max(1) as u64) * weight.stored() as u64
-                    }
-                    IntOp::BmmRequant { .. } => {
-                        let k = fetch(&node.inputs[0]).map_or(0, |t| t.dim(t.rank() - 1));
-                        elements * k as u64
-                    }
-                    _ => 0,
-                };
-                let in_elems: u64 = node
-                    .inputs
-                    .iter()
-                    .filter_map(|s| fetch(s).ok())
-                    .map(|t| t.numel() as u64)
-                    .sum();
-                let w_elems: u64 = match &node.op {
-                    IntOp::Conv2d { weight, .. } | IntOp::Linear { weight, .. } => {
-                        weight.numel() as u64
-                    }
-                    IntOp::LinearSparse { weight, .. } => weight.stored() as u64,
-                    _ => 0,
-                };
-                t2c_obs::counter_add(&format!("layer.{name}.macs"), macs);
-                t2c_obs::counter_add(&format!("layer.{name}.elements"), elements);
+                let cost = node.op.cost(&node.operand_dims(input.dims(), &shapes), out_dims);
+                t2c_obs::counter_add(&format!("layer.{name}.macs"), cost.macs);
+                t2c_obs::counter_add(&format!("layer.{name}.elements"), cost.out_elems);
                 t2c_obs::counter_add(
                     &format!("layer.{name}.bytes"),
-                    (in_elems + w_elems + elements) * 4,
+                    (cost.in_elems + cost.weight_elems + cost.out_elems) * 4,
                 );
             }
             live_elems += out.numel();
@@ -849,41 +1054,26 @@ fn add_channel_bias(acc: &Tensor<i32>, bias: &[i64], ch_axis: usize) -> Tensor<i
     out
 }
 
-/// Refuses a MAC weight with a zero extent: the kernels split work into
-/// nonzero units and would panic on it.
-fn require_weight(node: &str, dims: &[usize]) -> Result<()> {
-    if dims.contains(&0) {
-        return Err(TensorError::InvalidGeometry(format!(
-            "node '{node}' weight {dims:?} is empty"
-        )));
-    }
-    Ok(())
-}
-
-fn linear_i32(x: &Tensor<i32>, w: &Tensor<i32>) -> Result<Tensor<i32>> {
-    // Accepts [N, IN] or [N, L, IN]; weight is [OUT, IN].
-    let wt = w.transpose()?;
-    match x.rank() {
-        2 => x.matmul_i(&wt),
-        3 => {
-            let (n, l, din) = (x.dim(0), x.dim(1), x.dim(2));
-            let flat = x.reshape(&[n * l, din])?;
-            flat.matmul_i(&wt)?.reshape(&[n, l, w.dim(0)])
-        }
-        r => Err(TensorError::RankMismatch { got: r, expected: 2, op: "linear_i32" }),
-    }
-}
-
-fn linear_sparse_i32(x: &Tensor<i32>, w: &SparseMat) -> Result<Tensor<i32>> {
-    // Accepts [N, IN] or [N, L, IN]; weight rows are the OUT channels.
-    match x.rank() {
-        2 => matmul_sparse_i(x, w),
-        3 => {
-            let (n, l, din) = (x.dim(0), x.dim(1), x.dim(2));
-            let flat = x.reshape(&[n * l, din])?;
-            matmul_sparse_i(&flat, w)?.reshape(&[n, l, w.rows])
-        }
-        r => Err(TensorError::RankMismatch { got: r, expected: 2, op: "linear_sparse_i32" }),
+/// The MAC of a `Linear`/`LinearSparse` node over `[N, IN]` or
+/// `[N, L, IN]`; rank-3 inputs fold their leading axes into GEMM rows.
+fn linear_i32(x: &Tensor<i32>, op: &IntOp, out_dims: &[usize]) -> Result<Tensor<i32>> {
+    let folded;
+    let rows = if x.rank() == 2 {
+        x
+    } else {
+        let din = x.dim(x.rank() - 1);
+        folded = x.reshape(&[x.numel() / din, din])?;
+        &folded
+    };
+    let acc = match op {
+        IntOp::Linear { weight, .. } => rows.matmul_i(&weight.transpose()?)?,
+        IntOp::LinearSparse { weight, .. } => matmul_sparse_i(rows, weight)?,
+        _ => unreachable!("linear_i32 runs linear ops only"),
+    };
+    if x.rank() == 2 {
+        Ok(acc)
+    } else {
+        acc.reshape(out_dims)
     }
 }
 
@@ -947,26 +1137,19 @@ fn add_const_requant(
     c: &Tensor<i32>,
     m: FixedScalar,
     spec: QuantSpec,
-) -> Result<Tensor<i32>> {
-    // c broadcasts over the batch axis: c is [1, …] matching a[1..].
+) -> Tensor<i32> {
+    // c broadcasts over the batch axis: c is [1, …] tiling a[1..].
     let inner = c.numel();
-    if !a.numel().is_multiple_of(inner) {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: c.dims().to_vec(),
-            op: "add_const_requant",
-        });
-    }
     let cs = c.as_slice();
     let mut out = Tensor::<i32>::zeros(a.dims());
     let os = out.as_mut_slice();
     for (i, &v) in a.as_slice().iter().enumerate() {
         os[i] = add_const_requant_scalar(v, cs[i % inner], m, spec);
     }
-    Ok(out)
+    out
 }
 
-fn max_pool_i32(x: &Tensor<i32>, spec: PoolSpec) -> Result<Tensor<i32>> {
+fn max_pool_i32(x: &Tensor<i32>, spec: PoolSpec) -> Tensor<i32> {
     // Reuse the float kernel's geometry through a lossless i32→f32 round
     // trip is unacceptable for large ints; implement directly.
     let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
@@ -974,7 +1157,7 @@ fn max_pool_i32(x: &Tensor<i32>, spec: PoolSpec) -> Result<Tensor<i32>> {
     let ow = (w + 2 * spec.padding - spec.kernel) / spec.stride + 1;
     let mut out = Tensor::<i32>::zeros(&[n, c, oh, ow]);
     max_pool_into(x.as_slice(), [n, c, h, w], spec, out.as_mut_slice());
-    Ok(out)
+    out
 }
 
 /// The allocation-free core of the integer max pool (shared with the plan
@@ -1013,18 +1196,11 @@ pub(crate) fn max_pool_into(xs: &[i32], dims: [usize; 4], spec: PoolSpec, os: &m
     }
 }
 
-fn global_avg_pool_i32(x: &Tensor<i32>, frac_bits: u8) -> Result<Tensor<i32>> {
-    if x.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            got: x.rank(),
-            expected: 4,
-            op: "global_avg_pool_i32",
-        });
-    }
+fn global_avg_pool_i32(x: &Tensor<i32>, frac_bits: u8) -> Tensor<i32> {
     let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
     let mut out = Tensor::<i32>::zeros(&[n, c]);
     global_avg_pool_into(x.as_slice(), [n, c, h, w], frac_bits, out.as_mut_slice());
-    Ok(out)
+    out
 }
 
 /// The allocation-free core of the global average pool (shared with the
@@ -1044,18 +1220,11 @@ pub(crate) fn global_avg_pool_into(xs: &[i32], dims: [usize; 4], frac_bits: u8, 
     }
 }
 
-fn concat_token(x: &Tensor<i32>, token: &Tensor<i32>) -> Result<Tensor<i32>> {
+fn concat_token(x: &Tensor<i32>, token: &Tensor<i32>) -> Tensor<i32> {
     let (n, l, d) = (x.dim(0), x.dim(1), x.dim(2));
-    if token.numel() != d {
-        return Err(TensorError::ShapeMismatch {
-            lhs: token.dims().to_vec(),
-            rhs: vec![d],
-            op: "concat_token",
-        });
-    }
     let mut out = Tensor::<i32>::zeros(&[n, l + 1, d]);
     concat_token_into(x.as_slice(), [n, l, d], token.as_slice(), out.as_mut_slice());
-    Ok(out)
+    out
 }
 
 /// The allocation-free core of the class-token prepend (shared with the
@@ -1167,6 +1336,70 @@ mod tests {
         let xq = Tensor::from_vec(vec![1, 2], &[1, 1, 1, 2]).unwrap();
         let err = m.run_quantized(&xq).unwrap_err();
         assert!(format!("{err}").contains("not-yet-computed"), "unexpected error: {err}");
+
+        // A pool fed a flattened (rank-2) tensor and a pool window larger
+        // than its input used to panic inside the kernels; padding that
+        // reaches the kernel put windows entirely in padding (i32::MIN).
+        let xq = Tensor::<i32>::zeros(&[1, 1, 4, 4]);
+        let padded = PoolSpec { kernel: 1, stride: 1, padding: 1 };
+        for (flatten, spec) in
+            [(true, PoolSpec::new(2)), (false, PoolSpec::new(8)), (false, padded)]
+        {
+            let mut m = IntModel::new();
+            m.push("input", IntOp::Quantize { scale: 1.0, spec: QuantSpec::signed(8) }, vec![]);
+            if flatten {
+                m.push("flat", IntOp::Flatten, vec![Src::Node(0)]);
+            }
+            let src = Src::Node(m.len() - 1);
+            m.push("pool", IntOp::MaxPool2d { spec }, vec![src]);
+            let err = m.run_quantized(&xq).unwrap_err();
+            assert!(format!("{err}").contains("pool"), "error must name the node: {err}");
+            assert!(m.infer_shapes(xq.dims()).is_err());
+        }
+
+        // A zero-extent operand used to panic the kernels' work split.
+        let mut m = IntModel::new();
+        m.push("input", IntOp::Quantize { scale: 1.0, spec: QuantSpec::signed(8) }, vec![]);
+        let bmm = IntOp::BmmRequant {
+            transpose_rhs: true,
+            m: fixed(1.0),
+            out_spec: QuantSpec::signed(8),
+        };
+        m.push("bmm", bmm, vec![Src::Node(0), Src::Node(0)]);
+        assert!(m.run_quantized(&Tensor::zeros(&[1, 0, 2])).is_err());
+    }
+
+    #[test]
+    fn op_cost_counts_macs_weights_and_elements() {
+        let conv = IntOp::Conv2d {
+            weight: Tensor::zeros(&[4, 2, 3, 3]),
+            bias: None,
+            spec: Conv2dSpec::new(1, 1),
+            requant: MulQuant::from_float(
+                &[0.5],
+                &[0.0],
+                FixedPointFormat::int16_frac12(),
+                QuantSpec::signed(8),
+            ),
+            relu: false,
+            weight_spec: QuantSpec::signed(8),
+        };
+        let out = conv.out_dims(&[&[2, 2, 5, 5]]).unwrap();
+        assert_eq!(out, vec![2, 4, 5, 5]);
+        let cost = conv.cost(&[&[2, 2, 5, 5]], &out);
+        assert_eq!(
+            cost,
+            OpCost { macs: 200 * 18, weight_elems: 72, in_elems: 100, out_elems: 200 }
+        );
+        let bmm = IntOp::BmmRequant {
+            transpose_rhs: true,
+            m: fixed(1.0),
+            out_spec: QuantSpec::signed(8),
+        };
+        let out = bmm.out_dims(&[&[2, 3, 4], &[2, 5, 4]]).unwrap();
+        assert_eq!(out, vec![2, 3, 5]);
+        assert_eq!(bmm.cost(&[&[2, 3, 4], &[2, 5, 4]], &out).macs, 30 * 4);
+        assert!(bmm.out_dims(&[&[2, 3, 4], &[2, 4, 5]]).is_err(), "contraction mismatch");
     }
 
     #[test]
@@ -1208,18 +1441,18 @@ mod tests {
     #[test]
     fn global_avg_pool_fixed_point_division() {
         let x = Tensor::from_vec(vec![10, 20, 30, 40], &[1, 1, 2, 2]).unwrap();
-        let y = global_avg_pool_i32(&x, 0).unwrap();
+        let y = global_avg_pool_i32(&x, 0);
         assert_eq!(y.as_slice(), &[25]);
         // With 4 fractional bits the mean carries sub-LSB precision.
         let x2 = Tensor::from_vec(vec![10, 11, 10, 11], &[1, 1, 2, 2]).unwrap();
-        let y2 = global_avg_pool_i32(&x2, 4).unwrap();
+        let y2 = global_avg_pool_i32(&x2, 4);
         assert_eq!(y2.as_slice(), &[168]); // 10.5 · 16
     }
 
     #[test]
     fn max_pool_int() {
         let x = Tensor::from_vec(vec![-5, 2, 7, 1], &[1, 1, 2, 2]).unwrap();
-        let y = max_pool_i32(&x, PoolSpec::new(2)).unwrap();
+        let y = max_pool_i32(&x, PoolSpec::new(2));
         assert_eq!(y.as_slice(), &[7]);
     }
 
@@ -1227,7 +1460,7 @@ mod tests {
     fn token_ops_round_trip() {
         let x = Tensor::from_vec((0..12).collect::<Vec<i32>>(), &[1, 3, 4]).unwrap();
         let token = Tensor::from_vec(vec![100, 101, 102, 103], &[4]).unwrap();
-        let with = concat_token(&x, &token).unwrap();
+        let with = concat_token(&x, &token);
         assert_eq!(with.dims(), &[1, 4, 4]);
         assert_eq!(take_token(&with, 0).unwrap().as_slice(), token.as_slice());
         assert_eq!(take_token(&with, 1).unwrap().as_slice(), &[0, 1, 2, 3]);

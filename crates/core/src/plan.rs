@@ -295,16 +295,18 @@ pub struct ExecPlan {
 
 impl IntModel {
     /// Compiles the model for samples of shape `input_dims` (the leading
-    /// axis is treated as the batch and normalized to 1): packs dense
-    /// weights, fuses MAC epilogues, runs liveness and lays node outputs
-    /// into a shared arena. The model is unchanged — keep using it for
-    /// lint, certification, export and as the reference oracle
-    /// ([`IntModel::run_quantized`]) that plan outputs are checked against.
+    /// axis is treated as the batch and normalized to 1): infers every
+    /// node's shape statically ([`IntModel::infer_shapes`] — nothing
+    /// executes), packs dense weights, fuses MAC epilogues, runs liveness
+    /// and lays node outputs into a shared arena. The model is unchanged —
+    /// keep using it for lint, certification, export and as the reference
+    /// oracle ([`IntModel::run_quantized`]) that plan outputs are checked
+    /// against.
     ///
     /// # Errors
     ///
-    /// Returns an error if the model is empty, the graph does not
-    /// interpret on the given shape, or a weight fails validation /
+    /// Returns an error if the model is empty, a node's sources or shape
+    /// rule fail on the given shape, or a weight fails validation /
     /// packing.
     pub fn compile(&self, input_dims: &[usize]) -> Result<ExecPlan> {
         if self.nodes.is_empty() {
@@ -317,8 +319,9 @@ impl IntModel {
         }
         let mut dims1 = input_dims.to_vec();
         dims1[0] = 1;
-        // Shape inference doubles as full graph validation: arity, ranks
-        // and forward references all fail here, before any packing work.
+        // The static shape walk doubles as full graph validation: sources,
+        // arity, ranks, extents and parameter lengths all fail here,
+        // before any packing work, and nothing executes.
         let shapes = self.infer_shapes(&dims1)?;
         let n = self.nodes.len();
 
@@ -382,15 +385,8 @@ impl IntModel {
                 continue;
             }
             let dst = fold_dst[i].unwrap_or(i);
-            let operand = |idx: usize| -> Result<Src> {
-                node.inputs.get(idx).copied().ok_or_else(|| {
-                    TensorError::InvalidArgument(format!(
-                        "node {i} ({}) expects operand {idx} but lists {} input(s)",
-                        node.name,
-                        node.inputs.len()
-                    ))
-                })
-            };
+            // `infer_shapes` proved every operand is listed.
+            let operand = |idx: usize| node.inputs[idx];
             let step = match &node.op {
                 IntOp::Quantize { .. } => Step::InputAlias { dst },
                 IntOp::Linear { weight, bias, requant, relu, .. } => {
@@ -402,7 +398,7 @@ impl IntModel {
                     };
                     fused_nodes += 1 + epi.folded();
                     Step::Gemm {
-                        src: operand(0)?,
+                        src: operand(0),
                         dst,
                         weight: PackedMat::from_weight(weight)?,
                         epi,
@@ -423,7 +419,7 @@ impl IntModel {
                     };
                     fused_nodes += 1 + epi.folded();
                     Step::Spmm {
-                        src: operand(0)?,
+                        src: operand(0),
                         dst,
                         cols: weight.col_indices(),
                         weight: weight.clone(),
@@ -438,7 +434,7 @@ impl IntModel {
                         lut: lut_of(i),
                     };
                     fused_nodes += 1 + epi.folded();
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::Conv {
                         dst,
                         weight: PackedConv::from_weight(weight, spec.groups)?,
@@ -449,8 +445,8 @@ impl IntModel {
                     }
                 }
                 IntOp::AddRequant { m_a, m_b, out_spec, relu } => Step::AddRequant {
-                    a: operand(0)?,
-                    b: operand(1)?,
+                    a: operand(0),
+                    b: operand(1),
                     dst,
                     m_a: *m_a,
                     m_b: *m_b,
@@ -458,27 +454,27 @@ impl IntModel {
                     relu: *relu,
                 },
                 IntOp::AddConstRequant { value, m, out_spec } => Step::AddConst {
-                    src: operand(0)?,
+                    src: operand(0),
                     dst,
                     value: value.as_slice().to_vec(),
                     m: *m,
                     out_spec: *out_spec,
                 },
                 IntOp::MaxPool2d { spec } => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::MaxPool { dst, spec: *spec, in_dims: geo4(&src), src }
                 }
                 IntOp::GlobalAvgPool { frac_bits } => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::GlobalAvgPool { dst, frac_bits: *frac_bits, in_dims: geo4(&src), src }
                 }
-                IntOp::Flatten => Step::Copy { src: operand(0)?, dst },
+                IntOp::Flatten => Step::Copy { src: operand(0), dst },
                 IntOp::PatchToTokens => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::PatchToTokens { dst, in_dims: geo4(&src), src }
                 }
                 IntOp::ConcatToken { token } => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::ConcatToken {
                         dst,
                         token: token.as_slice().to_vec(),
@@ -487,19 +483,19 @@ impl IntModel {
                     }
                 }
                 IntOp::TakeToken { index } => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::TakeToken { dst, index: *index, in_dims: geo3(&src), src }
                 }
                 IntOp::SplitHeads { heads } => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::SplitHeads { dst, heads: *heads, in_dims: geo3(&src), src }
                 }
                 IntOp::MergeHeads { heads } => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::MergeHeads { dst, heads: *heads, in_dims: geo3(&src), src }
                 }
                 IntOp::BmmRequant { transpose_rhs, m, out_spec } => {
-                    let (a, b) = (operand(0)?, operand(1)?);
+                    let (a, b) = (operand(0), operand(1));
                     Step::Bmm {
                         dst,
                         transpose_rhs: *transpose_rhs,
@@ -512,19 +508,19 @@ impl IntModel {
                     }
                 }
                 IntOp::Requant { m, out_spec } => {
-                    Step::Requant { src: operand(0)?, dst, m: *m, out_spec: *out_spec }
+                    Step::Requant { src: operand(0), dst, m: *m, out_spec: *out_spec }
                 }
                 IntOp::LayerNorm(ln) => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     let d = *shape_of(&src).last().unwrap_or(&1);
                     Step::LayerNorm { src, dst, ln: ln.clone(), d }
                 }
                 IntOp::SoftmaxLut(lut) => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     let cols = *shape_of(&src).last().unwrap_or(&1);
                     Step::Softmax { src, dst, lut: lut.clone(), cols }
                 }
-                IntOp::GeluLut(lut) => Step::Gelu { src: operand(0)?, dst, lut: lut.clone() },
+                IntOp::GeluLut(lut) => Step::Gelu { src: operand(0), dst, lut: lut.clone() },
             };
             match &step {
                 Step::Conv { .. } | Step::Bmm { .. } => steady_allocs += 1,
@@ -1105,5 +1101,34 @@ mod tests {
         let bad = Tensor::<i32>::zeros(&[1, 255]);
         assert!(plan.run_quantized(&bad, &mut Arena::new()).is_err());
         assert!(IntModel::new().compile(&[1, 4]).is_err(), "empty model must not compile");
+    }
+
+    #[test]
+    fn a_reduction_over_the_batch_axis_does_not_compile() {
+        // On a rank-1 input the softmax row is the batch itself, which a
+        // per-sample plan cannot reproduce; it is refused, not miscompiled.
+        let mut m = IntModel::new();
+        m.push("input", IntOp::Quantize { scale: 0.1, spec: QuantSpec::signed(8) }, vec![]);
+        let lut = SoftmaxLut::build(0.1, QuantSpec::unsigned(8), 16, 12);
+        m.push("softmax", IntOp::SoftmaxLut(lut), vec![Src::Node(0)]);
+        assert!(m.compile(&[2]).is_err());
+        assert!(m.compile(&[2, 3]).is_ok());
+    }
+
+    #[test]
+    fn malformed_pool_graphs_are_refused_without_executing() {
+        // Flatten → MaxPool (rank-2 pool input) and an 8×8 window on a 4×4
+        // input: compile's shape walk refuses both instead of panicking.
+        for (flatten, kernel) in [(true, 2), (false, 8)] {
+            let mut m = IntModel::new();
+            m.push("input", IntOp::Quantize { scale: 1.0, spec: QuantSpec::signed(8) }, vec![]);
+            if flatten {
+                m.push("flat", IntOp::Flatten, vec![Src::Node(0)]);
+            }
+            let src = Src::Node(m.len() - 1);
+            m.push("pool", IntOp::MaxPool2d { spec: PoolSpec::new(kernel) }, vec![src]);
+            let err = m.compile(&[1, 1, 4, 4]).unwrap_err();
+            assert!(format!("{err}").contains("pool"), "error must name the node: {err}");
+        }
     }
 }

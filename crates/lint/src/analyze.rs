@@ -10,12 +10,12 @@
 
 use std::collections::BTreeSet;
 
-use t2c_core::intmodel::{IntNode, IntOp, LayerNormInt, Src};
+use t2c_core::intmodel::{IntNode, IntOp, Src};
 use t2c_core::lut::{GeluLut, SoftmaxLut};
 use t2c_core::{FixedScalar, IntModel, MulQuant, QuantSpec};
 use t2c_tensor::{SparseError, Tensor};
 
-use crate::interval::Interval;
+use crate::interval::{round_shift_i128, slice_min_max, Interval};
 use crate::{Diagnostic, LintReport, Rule, Severity};
 
 /// Overshoot beyond this many grid widths escalates a scale-chain finding
@@ -52,13 +52,6 @@ struct State {
 
 fn sat_i64(v: i128) -> i64 {
     v.clamp(i64::MIN as i128, i64::MAX as i128) as i64
-}
-
-fn round_shift_i128(v: i128, bits: u8) -> i128 {
-    if bits == 0 {
-        return v;
-    }
-    (v + (1i128 << (bits - 1))) >> bits
 }
 
 /// Runs the full static verification pass over `model`, assuming the
@@ -215,20 +208,6 @@ impl Ctx {
             })
             .collect();
         LintReport { tag: tag.to_owned(), diagnostics: self.diags, nodes }
-    }
-
-    fn shape_err(&mut self, i: usize, name: &str, msg: String, hint: &str) {
-        self.push(Diagnostic::node(Rule::ShapeMismatch, Severity::Error, i, name, msg, hint));
-    }
-
-    /// T2C005 for a MAC weight with a zero extent, which no kernel runs.
-    fn empty_weight(&mut self, i: usize, name: &str, dims: &[usize]) -> bool {
-        let empty = dims.contains(&0);
-        if empty {
-            let msg = format!("weight {dims:?} has a zero extent");
-            self.shape_err(i, name, msg, "every weight axis needs at least one element");
-        }
-        empty
     }
 
     /// Per-`FixedScalar` representability checks (T2C202 / T2C203).
@@ -431,7 +410,8 @@ impl Ctx {
                 env_lo += cl.min(0);
                 env_hi += ch.max(0);
             }
-            let bv = bias.map_or(0i128, |b| b[c.min(b.len() - 1)] as i128);
+            // The runtime broadcasts the last entry; an empty bias adds nothing.
+            let bv = bias.and_then(|b| b.get(c).or(b.last())).map_or(0, |&b| i128::from(b));
             per_ch.push((
                 Interval::new(lo + bv, hi + bv),
                 Interval::new(env_lo + bv.min(0), env_hi + bv.max(0)),
@@ -476,35 +456,65 @@ impl Ctx {
         input_state: Option<&State>,
     ) -> Option<State> {
         let name = node.name.clone();
+        if let IntOp::Quantize { spec, .. } = &node.op {
+            if i > 0 {
+                self.push(Diagnostic::node(
+                    Rule::MissingQuantize,
+                    Severity::Warn,
+                    i,
+                    &name,
+                    "Quantize after position 0 acts as a passthrough of the model input".to_owned(),
+                    "quantize exactly once, at the graph entry",
+                ));
+                return input_state.cloned();
+            }
+            return input_state.cloned().map(|s| State { spec: Some(*spec), ..s });
+        }
+        // The output shape comes from core's shared shape rule; an
+        // operand missing upstream ends the analysis silently.
+        let dims: Vec<&[usize]> = [&in0, &in1][..node.op.arity()]
+            .iter()
+            .map(|s| s.as_ref().map(|s| s.shape.as_slice()))
+            .collect::<Option<_>>()?;
+        let shape = match node.op.out_dims(&dims) {
+            Ok(shape) => shape,
+            Err(e) => {
+                self.push(Diagnostic::node(
+                    Rule::ShapeMismatch,
+                    Severity::Error,
+                    i,
+                    &name,
+                    e.to_string(),
+                    "fix the operand shapes or the op parameters (ranks, extents, lengths)",
+                ));
+                return None;
+            }
+        };
         match &node.op {
-            IntOp::Quantize { spec, .. } => {
-                if i > 0 {
+            IntOp::Quantize { .. } => unreachable!("handled above"),
+            IntOp::Conv2d { weight, bias, spec, requant, relu, weight_spec } => {
+                let x = in0?;
+                let xr = if spec.padding > 0 { x.range.include_zero() } else { x.range };
+                let oc = shape[1];
+                let per_ch =
+                    self.mac_channels(i, &name, weight, oc, xr, bias.as_deref(), *weight_spec);
+                self.acc_overflow(i, &name, &per_ch);
+                if mq_channel_mismatch(requant, oc) {
                     self.push(Diagnostic::node(
-                        Rule::MissingQuantize,
+                        Rule::ShapeMismatch,
                         Severity::Warn,
                         i,
                         &name,
-                        "Quantize after position 0 acts as a passthrough of the model input"
-                            .to_owned(),
-                        "quantize exactly once, at the graph entry",
+                        format!(
+                            "requantizer carries {} channel(s) for {oc} output channels",
+                            requant.channels()
+                        ),
+                        "use 1 (per-tensor) or OC requantizer channels",
                     ));
-                    return input_state.cloned();
                 }
-                input_state.cloned().map(|s| State { spec: Some(*spec), ..s })
-            }
-            IntOp::Conv2d { weight, bias, spec, requant, relu, weight_spec } => {
-                let x = in0?;
-                self.conv_body(
-                    i,
-                    &name,
-                    weight,
-                    bias.as_deref(),
-                    spec,
-                    requant,
-                    *relu,
-                    *weight_spec,
-                    x,
-                )
+                let finals: Vec<Interval> = per_ch.iter().map(|(f, _)| *f).collect();
+                let out = self.requant(i, &name, requant, &finals, *relu);
+                Some(State { shape, range: out, spec: Some(requant.out_spec) })
             }
             IntOp::Linear { weight, bias, requant, relu, weight_spec } => {
                 let x = in0?;
@@ -516,7 +526,8 @@ impl Ctx {
                     requant.as_ref(),
                     *relu,
                     *weight_spec,
-                    x,
+                    x.range,
+                    shape,
                 )
             }
             IntOp::LinearSparse { weight, bias, requant, relu, weight_spec, declared_sparsity } => {
@@ -573,20 +584,12 @@ impl Ctx {
                     requant.as_ref(),
                     *relu,
                     *weight_spec,
-                    x,
+                    x.range,
+                    shape,
                 )
             }
             IntOp::AddRequant { m_a, m_b, out_spec, relu } => {
                 let (a, b) = (in0?, in1?);
-                if a.shape != b.shape {
-                    self.shape_err(
-                        i,
-                        &name,
-                        format!("branch shapes {:?} vs {:?} differ", a.shape, b.shape),
-                        "residual adds need identical operand shapes",
-                    );
-                    return None;
-                }
                 self.fixed_scalar_check(i, &name, *m_a, "branch-a");
                 self.fixed_scalar_check(i, &name, *m_b, "branch-b");
                 let mut mapped = a.range.map_fixed(*m_a) + b.range.map_fixed(*m_b);
@@ -594,70 +597,26 @@ impl Ctx {
                     mapped = mapped.relu();
                 }
                 let out = self.scale_chain(i, &name, mapped, *out_spec, "add_requant");
-                Some(State { shape: a.shape, range: out, spec: Some(*out_spec) })
+                Some(State { shape, range: out, spec: Some(*out_spec) })
             }
             IntOp::AddConstRequant { value, m, out_spec } => {
                 let a = in0?;
-                let n: usize = a.shape.iter().skip(1).product();
-                if value.numel() == 0 || !n.is_multiple_of(value.numel()) {
-                    self.shape_err(
-                        i,
-                        &name,
-                        format!(
-                            "constant with {} element(s) does not broadcast over input {:?}",
-                            value.numel(),
-                            a.shape
-                        ),
-                        "the constant must tile the non-batch extent exactly",
-                    );
-                    return None;
-                }
                 self.fixed_scalar_check(i, &name, *m, "const-add");
                 let (cmin, cmax) = slice_min_max(value.as_slice());
                 let sum = a.range + Interval::new(cmin as i128, cmax as i128);
                 let mapped = sum.map_fixed(*m);
                 let out = self.scale_chain(i, &name, mapped, *out_spec, "add_const_requant");
-                Some(State { shape: a.shape, range: out, spec: Some(*out_spec) })
+                Some(State { shape, range: out, spec: Some(*out_spec) })
             }
-            IntOp::MaxPool2d { spec } => {
-                let x = in0?;
-                if x.shape.len() != 4 {
-                    self.shape_err(
-                        i,
-                        &name,
-                        format!("max_pool input must be rank 4, got {:?}", x.shape),
-                        "feed an [N, C, H, W] tensor",
-                    );
-                    return None;
-                }
-                let (Some(oh), Some(ow)) = (
-                    conv_extent(x.shape[2], spec.kernel, spec.stride, spec.padding),
-                    conv_extent(x.shape[3], spec.kernel, spec.stride, spec.padding),
-                ) else {
-                    self.shape_err(
-                        i,
-                        &name,
-                        format!(
-                            "pool kernel {} stride {} padding {} does not fit {}x{}",
-                            spec.kernel, spec.stride, spec.padding, x.shape[2], x.shape[3]
-                        ),
-                        "shrink the window",
-                    );
-                    return None;
-                };
-                Some(State { shape: vec![x.shape[0], x.shape[1], oh, ow], ..x })
-            }
+            // Shape-only ops keep the operand's range and grid.
+            IntOp::MaxPool2d { .. }
+            | IntOp::Flatten
+            | IntOp::PatchToTokens
+            | IntOp::TakeToken { .. }
+            | IntOp::SplitHeads { .. }
+            | IntOp::MergeHeads { .. } => Some(State { shape, ..in0? }),
             IntOp::GlobalAvgPool { frac_bits } => {
                 let x = in0?;
-                if x.shape.len() != 4 {
-                    self.shape_err(
-                        i,
-                        &name,
-                        format!("global_avg_pool input must be rank 4, got {:?}", x.shape),
-                        "feed an [N, C, H, W] tensor",
-                    );
-                    return None;
-                }
                 let hw = (x.shape[2] * x.shape[3]).max(1);
                 // The runtime's fixed-point 2^(16+frac)/(H·W) multiplier.
                 let m = (((1i64 << (16 + *frac_bits as i64)) as f64) / hw as f64).round() as i128;
@@ -689,50 +648,10 @@ impl Ctx {
                         "lower frac_bits",
                     ));
                 }
-                Some(State {
-                    shape: vec![x.shape[0], x.shape[1]],
-                    range: out,
-                    spec: if *frac_bits == 0 { x.spec } else { None },
-                })
-            }
-            IntOp::Flatten => {
-                let x = in0?;
-                if x.shape.is_empty() {
-                    self.shape_err(i, &name, "flatten input has rank 0".into(), "feed a batch");
-                    return None;
-                }
-                let n = x.shape[0];
-                let rest: usize = x.shape.iter().skip(1).product();
-                Some(State { shape: vec![n, rest], ..x })
-            }
-            IntOp::PatchToTokens => {
-                let x = in0?;
-                if x.shape.len() != 4 {
-                    self.shape_err(
-                        i,
-                        &name,
-                        format!("patch_to_tokens input must be rank 4, got {:?}", x.shape),
-                        "feed the [N, D, h, w] patch grid",
-                    );
-                    return None;
-                }
-                Some(State { shape: vec![x.shape[0], x.shape[2] * x.shape[3], x.shape[1]], ..x })
+                Some(State { shape, range: out, spec: if *frac_bits == 0 { x.spec } else { None } })
             }
             IntOp::ConcatToken { token } => {
                 let x = in0?;
-                if x.shape.len() != 3 || token.numel() != x.shape[2] {
-                    self.shape_err(
-                        i,
-                        &name,
-                        format!(
-                            "token with {} element(s) does not match sequence {:?}",
-                            token.numel(),
-                            x.shape
-                        ),
-                        "the class token must match the embedding dim of an [N, L, D] sequence",
-                    );
-                    return None;
-                }
                 let (tmin, tmax) = slice_min_max(token.as_slice());
                 if let Some(spec) = x.spec {
                     if !spec.contains(tmin as i64) || !spec.contains(tmax as i64) {
@@ -747,81 +666,14 @@ impl Ctx {
                     }
                 }
                 Some(State {
-                    shape: vec![x.shape[0], x.shape[1] + 1, x.shape[2]],
+                    shape,
                     range: x.range.union(Interval::new(tmin as i128, tmax as i128)),
                     spec: x.spec,
                 })
             }
-            IntOp::TakeToken { index } => {
-                let x = in0?;
-                if x.shape.len() != 3 || *index >= x.shape[1] {
-                    self.shape_err(
-                        i,
-                        &name,
-                        format!("token index {index} out of range for {:?}", x.shape),
-                        "take_token needs an [N, L, D] input with index < L",
-                    );
-                    return None;
-                }
-                Some(State { shape: vec![x.shape[0], x.shape[2]], ..x })
-            }
-            IntOp::SplitHeads { heads } => {
-                let x = in0?;
-                if x.shape.len() != 3 || *heads == 0 || x.shape[2] % heads != 0 {
-                    self.shape_err(
-                        i,
-                        &name,
-                        format!("cannot split {:?} into {heads} head(s)", x.shape),
-                        "the embedding dim must divide evenly by the head count",
-                    );
-                    return None;
-                }
-                Some(State { shape: vec![x.shape[0] * heads, x.shape[1], x.shape[2] / heads], ..x })
-            }
-            IntOp::MergeHeads { heads } => {
-                let x = in0?;
-                if x.shape.len() != 3 || *heads == 0 || x.shape[0] % heads != 0 {
-                    self.shape_err(
-                        i,
-                        &name,
-                        format!("cannot merge {:?} from {heads} head(s)", x.shape),
-                        "the batch·head extent must divide evenly by the head count",
-                    );
-                    return None;
-                }
-                Some(State { shape: vec![x.shape[0] / heads, x.shape[1], x.shape[2] * heads], ..x })
-            }
-            IntOp::BmmRequant { transpose_rhs, m, out_spec } => {
+            IntOp::BmmRequant { m, out_spec, .. } => {
                 let (a, b) = (in0?, in1?);
-                if a.shape.len() != 3 || b.shape.len() != 3 || a.shape[0] != b.shape[0] {
-                    self.shape_err(
-                        i,
-                        &name,
-                        format!(
-                            "bmm operands {:?} and {:?} are not batched matrices",
-                            a.shape, b.shape
-                        ),
-                        "both operands must be rank 3 with matching batch",
-                    );
-                    return None;
-                }
-                let (k, n_out, k_rhs) = if *transpose_rhs {
-                    (a.shape[2], b.shape[1], b.shape[2])
-                } else {
-                    (a.shape[2], b.shape[2], b.shape[1])
-                };
-                if k != k_rhs {
-                    self.shape_err(
-                        i,
-                        &name,
-                        format!(
-                            "inner dims differ: lhs {:?} vs rhs {:?} (transpose_rhs={transpose_rhs})",
-                            a.shape, b.shape
-                        ),
-                        "match the contraction extents",
-                    );
-                    return None;
-                }
+                let k = a.shape[2];
                 let product = a.range * b.range;
                 let envelope =
                     Interval::new(product.lo.min(0) * k as i128, product.hi.max(0) * k as i128);
@@ -841,109 +693,28 @@ impl Ctx {
                 let acc = product.scale(k as i128);
                 let mapped = acc.map_fixed(*m);
                 let out = self.scale_chain(i, &name, mapped, *out_spec, "bmm_requant");
-                Some(State {
-                    shape: vec![a.shape[0], a.shape[1], n_out],
-                    range: out,
-                    spec: Some(*out_spec),
-                })
+                Some(State { shape, range: out, spec: Some(*out_spec) })
             }
             IntOp::Requant { m, out_spec } => {
                 let x = in0?;
                 self.fixed_scalar_check(i, &name, *m, "requant");
                 let mapped = x.range.map_fixed(*m);
                 let out = self.scale_chain(i, &name, mapped, *out_spec, "requant");
-                Some(State { shape: x.shape, range: out, spec: Some(*out_spec) })
+                Some(State { shape, range: out, spec: Some(*out_spec) })
             }
-            IntOp::LayerNorm(ln) => self.layer_norm(i, &name, ln, in0),
-            IntOp::SoftmaxLut(lut) => self.softmax_lut(i, &name, lut, in0),
-            IntOp::GeluLut(lut) => self.gelu_lut(i, &name, lut, in0),
+            IntOp::LayerNorm(ln) => Some(State {
+                shape,
+                range: Interval::of_spec(ln.out_spec),
+                spec: Some(ln.out_spec),
+            }),
+            IntOp::SoftmaxLut(lut) => self.softmax_lut(i, &name, lut, in0?.range, shape),
+            IntOp::GeluLut(lut) => self.gelu_lut(i, &name, lut, in0?.range, shape),
         }
-    }
-
-    /// The dense analysis for `Conv2d`: shape inference, per-channel
-    /// accumulator intervals, overflow proof and requantizer checks.
-    #[allow(clippy::too_many_arguments)]
-    fn conv_body(
-        &mut self,
-        i: usize,
-        name: &str,
-        weight: &Tensor<i32>,
-        bias: Option<&[i64]>,
-        spec: &t2c_tensor::ops::Conv2dSpec,
-        requant: &MulQuant,
-        relu: bool,
-        weight_spec: QuantSpec,
-        x: State,
-    ) -> Option<State> {
-        if x.shape.len() != 4 {
-            self.shape_err(
-                i,
-                name,
-                format!("conv2d input must be rank 4, got {:?}", x.shape),
-                "feed an [N, C, H, W] tensor",
-            );
-            return None;
-        }
-        if self.empty_weight(i, name, weight.dims()) {
-            return None;
-        }
-        let (c, h, w) = (x.shape[1], x.shape[2], x.shape[3]);
-        let (oc, cg, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
-        let g = spec.groups.max(1);
-        if cg * g != c || oc % g != 0 {
-            self.shape_err(
-                i,
-                name,
-                format!(
-                    "weight [{oc}, {cg}, {kh}, {kw}] with {g} group(s) does not match {c} input channels"
-                ),
-                "weight dim 1 must be C/groups and OC divisible by groups",
-            );
-            return None;
-        }
-        let (Some(oh), Some(ow)) = (
-            conv_extent(h, kh, spec.stride, spec.padding),
-            conv_extent(w, kw, spec.stride, spec.padding),
-        ) else {
-            self.shape_err(
-                i,
-                name,
-                format!(
-                    "kernel {kh}x{kw} stride {} padding {} does not fit input {h}x{w}",
-                    spec.stride, spec.padding
-                ),
-                "shrink the kernel or add padding",
-            );
-            return None;
-        };
-        let xr = if spec.padding > 0 { x.range.include_zero() } else { x.range };
-        let per_ch = self.mac_channels(i, name, weight, oc, xr, bias, weight_spec);
-        self.acc_overflow(i, name, &per_ch);
-        if mq_channel_mismatch(requant, oc) {
-            self.push(Diagnostic::node(
-                Rule::ShapeMismatch,
-                Severity::Warn,
-                i,
-                name,
-                format!(
-                    "requantizer carries {} channel(s) for {oc} output channels",
-                    requant.channels()
-                ),
-                "use 1 (per-tensor) or OC requantizer channels",
-            ));
-        }
-        let finals: Vec<Interval> = per_ch.iter().map(|(f, _)| *f).collect();
-        let out = self.requant(i, name, requant, &finals, relu);
-        Some(State {
-            shape: vec![x.shape[0], oc, oh, ow],
-            range: out,
-            spec: Some(requant.out_spec),
-        })
     }
 
     /// The shared dense analysis for `Linear` and (after densifying)
-    /// `LinearSparse`: shape inference, per-channel accumulator intervals,
-    /// overflow proof and requantizer checks.
+    /// `LinearSparse`: per-channel accumulator intervals, overflow proof
+    /// and requantizer checks over an input range `x`.
     #[allow(clippy::too_many_arguments)]
     fn linear_body(
         &mut self,
@@ -954,30 +725,13 @@ impl Ctx {
         requant: Option<&MulQuant>,
         relu: bool,
         weight_spec: QuantSpec,
-        x: State,
+        x: Interval,
+        shape: Vec<usize>,
     ) -> Option<State> {
-        if self.empty_weight(i, name, weight.dims()) {
-            return None;
-        }
-        let (out_f, in_f) = (weight.dim(0), weight.dim(1));
-        let Some(&last) = x.shape.last() else {
-            self.shape_err(i, name, "linear input has rank 0".into(), "feed [N, IN]");
-            return None;
-        };
-        if x.shape.len() < 2 || x.shape.len() > 3 || last != in_f {
-            self.shape_err(
-                i,
-                name,
-                format!("weight [{out_f}, {in_f}] does not match input {:?}", x.shape),
-                "linear expects [N, IN] or [N, L, IN] with IN matching the weight",
-            );
-            return None;
-        }
-        let per_ch = self.mac_channels(i, name, weight, out_f, x.range, bias, weight_spec);
+        let out_f = weight.dim(0);
+        let per_ch = self.mac_channels(i, name, weight, out_f, x, bias, weight_spec);
         self.acc_overflow(i, name, &per_ch);
         let finals: Vec<Interval> = per_ch.iter().map(|(f, _)| *f).collect();
-        let mut shape = x.shape.clone();
-        *shape.last_mut().expect("non-empty") = out_f;
         match requant {
             Some(mq) => {
                 if mq_channel_mismatch(mq, out_f) {
@@ -1004,46 +758,14 @@ impl Ctx {
         }
     }
 
-    fn layer_norm(
-        &mut self,
-        i: usize,
-        name: &str,
-        ln: &LayerNormInt,
-        in0: Option<State>,
-    ) -> Option<State> {
-        let x = in0?;
-        let Some(&d) = x.shape.last() else {
-            self.shape_err(i, name, "layer_norm input has rank 0".into(), "feed a feature axis");
-            return None;
-        };
-        if ln.gamma_m.len() != d || ln.beta_b.len() != d {
-            self.shape_err(
-                i,
-                name,
-                format!(
-                    "gamma/beta lengths {}/{} do not match the {d}-wide feature axis",
-                    ln.gamma_m.len(),
-                    ln.beta_b.len()
-                ),
-                "provide one gamma multiplier and beta bias per feature",
-            );
-            return None;
-        }
-        Some(State {
-            shape: x.shape,
-            range: Interval::of_spec(ln.out_spec),
-            spec: Some(ln.out_spec),
-        })
-    }
-
     fn softmax_lut(
         &mut self,
         i: usize,
         name: &str,
         lut: &SoftmaxLut,
-        in0: Option<State>,
+        x: Interval,
+        shape: Vec<usize>,
     ) -> Option<State> {
-        let x = in0?;
         if lut.table.is_empty() {
             self.push(Diagnostic::node(
                 Rule::LutDomainGap,
@@ -1055,7 +777,7 @@ impl Ctx {
             ));
             return None;
         }
-        let spread = x.range.width();
+        let spread = x.width();
         if spread > (lut.table.len() - 1) as i128 {
             self.push(Diagnostic::node(
                 Rule::LutRangeTruncated,
@@ -1070,7 +792,7 @@ impl Ctx {
             ));
         }
         Some(State {
-            shape: x.shape,
+            shape,
             range: Interval::new(0, lut.out_spec.qmax() as i128),
             spec: Some(lut.out_spec),
         })
@@ -1081,9 +803,9 @@ impl Ctx {
         i: usize,
         name: &str,
         lut: &GeluLut,
-        in0: Option<State>,
+        x: Interval,
+        shape: Vec<usize>,
     ) -> Option<State> {
-        let x = in0?;
         let expected = lut.in_spec.width() as usize + 1;
         if lut.table.len() < expected {
             self.push(Diagnostic::node(
@@ -1101,7 +823,7 @@ impl Ctx {
             ));
             return None;
         }
-        if !x.range.within(lut.in_spec) {
+        if !x.within(lut.in_spec) {
             self.push(Diagnostic::node(
                 Rule::LutRangeTruncated,
                 Severity::Warn,
@@ -1109,14 +831,14 @@ impl Ctx {
                 name,
                 format!(
                     "producer range {} exceeds the table's {} domain; out-of-domain codes clamp to the edge entries",
-                    x.range, lut.in_spec
+                    x, lut.in_spec
                 ),
                 "requantize the producer onto the table's input grid",
             ));
         }
         let (tmin, tmax) = slice_min_max(&lut.table);
         Some(State {
-            shape: x.shape,
+            shape,
             range: Interval::new(tmin as i128, tmax as i128),
             spec: Some(lut.out_spec),
         })
@@ -1126,23 +848,6 @@ impl Ctx {
 fn mq_channel_mismatch(mq: &MulQuant, oc: usize) -> bool {
     let ch = mq.channels();
     ch != 1 && ch != oc
-}
-
-fn conv_extent(h: usize, k: usize, stride: usize, padding: usize) -> Option<usize> {
-    if stride == 0 || k == 0 {
-        return None;
-    }
-    let padded = h + 2 * padding;
-    if k > padded {
-        return None;
-    }
-    Some((padded - k) / stride + 1)
-}
-
-fn slice_min_max(s: &[i32]) -> (i32, i32) {
-    let mut it = s.iter();
-    let Some(&first) = it.next() else { return (0, 0) };
-    it.fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)))
 }
 
 #[cfg(test)]

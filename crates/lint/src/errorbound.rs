@@ -47,7 +47,7 @@ use t2c_export::{CertifiedError, ExportManifest};
 use t2c_obs::report::{json_num, json_str};
 use t2c_tensor::Tensor;
 
-use crate::interval::Interval;
+use crate::interval::{round_shift_i128, slice_min_max, Interval};
 use crate::{Diagnostic, LintReport, Rule, Severity};
 
 /// Schema version of `ErrorReport::to_json` documents.
@@ -493,7 +493,8 @@ impl Certifier {
                 env_hi += chi.max(0);
                 abs_w_sum += w.unsigned_abs() as f64;
             }
-            let bv = bias.map_or(0i128, |b| b[ch.min(b.len() - 1)] as i128);
+            // The runtime broadcasts the last entry; an empty bias adds nothing.
+            let bv = bias.and_then(|b| b.get(ch).or(b.last())).map_or(0, |&b| i128::from(b));
             let fin = Interval::new(lo + bv, hi + bv);
             let env = Interval::new(env_lo + bv.min(0), env_hi + bv.max(0));
             if !fin.fits_i32() || !env.fits_i32() {
@@ -572,53 +573,60 @@ impl Certifier {
                 }
             }
         }
-        match &node.op {
-            IntOp::Quantize { .. } => {
-                if i > 0 {
-                    // Passthrough of the model input (analyze warns).
-                    return input_state.cloned();
-                }
-                let s = input_state?;
-                self.local = s.err;
-                Some(s.clone())
+        if let IntOp::Quantize { .. } = &node.op {
+            if i > 0 {
+                // Passthrough of the model input (analyze warns).
+                return input_state.cloned();
             }
+            let s = input_state?;
+            self.local = s.err;
+            return Some(s.clone());
+        }
+        // The output shape comes from core's shared shape rule; an
+        // operand missing upstream ends the certificate silently.
+        let dims: Vec<&[usize]> = [&in0, &in1][..node.op.arity()]
+            .iter()
+            .map(|s| s.as_ref().map(|s| s.shape.as_slice()))
+            .collect::<Option<_>>()?;
+        let shape = match node.op.out_dims(&dims) {
+            Ok(shape) => shape,
+            Err(e) => {
+                self.uncertifiable(i, &name, &format!("shape inference failed: {e}"));
+                return None;
+            }
+        };
+        match &node.op {
+            IntOp::Quantize { .. } => unreachable!("handled above"),
             IntOp::Conv2d { weight, bias, spec, requant, relu, weight_spec: _ } => {
                 let x = in0?;
-                if x.shape.len() != 4 {
-                    self.uncertifiable(i, &name, "conv input is not rank 4");
-                    return None;
-                }
-                let (c, h, w) = (x.shape[1], x.shape[2], x.shape[3]);
-                let (oc, cg, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
-                let g = spec.groups.max(1);
-                if cg * g != c || oc % g.max(1) != 0 {
-                    self.uncertifiable(i, &name, "weight geometry does not match input channels");
-                    return None;
-                }
-                let (Some(oh), Some(ow)) = (
-                    conv_extent(h, kh, spec.stride, spec.padding),
-                    conv_extent(w, kw, spec.stride, spec.padding),
-                ) else {
-                    self.uncertifiable(i, &name, "kernel does not fit the spatial extent");
-                    return None;
-                };
                 let xr = if spec.padding > 0 { x.range.include_zero() } else { x.range };
                 let (range, err) = self.mac_error(
                     i,
                     &name,
                     weight,
-                    oc,
+                    shape[1],
                     xr,
                     x.err,
                     bias.as_deref(),
                     Some(requant),
                     *relu,
                 )?;
-                Some(EState { shape: vec![x.shape[0], oc, oh, ow], range, err, scale: None })
+                Some(EState { shape, range, err, scale: None })
             }
             IntOp::Linear { weight, bias, requant, relu, weight_spec: _ } => {
                 let x = in0?;
-                self.linear_error(i, &name, weight, bias.as_deref(), requant.as_ref(), *relu, x)
+                let (range, err) = self.mac_error(
+                    i,
+                    &name,
+                    weight,
+                    shape[shape.len() - 1],
+                    x.range,
+                    x.err,
+                    bias.as_deref(),
+                    requant.as_ref(),
+                    *relu,
+                )?;
+                Some(EState { shape, range, err, scale: None })
             }
             IntOp::LinearSparse { weight, bias, requant, relu, .. } => {
                 let x = in0?;
@@ -626,15 +634,21 @@ impl Certifier {
                     self.uncertifiable(i, &name, "the sparse weight fails validation");
                     return None;
                 }
-                let dense = weight.to_dense();
-                self.linear_error(i, &name, &dense, bias.as_deref(), requant.as_ref(), *relu, x)
+                let (range, err) = self.mac_error(
+                    i,
+                    &name,
+                    &weight.to_dense(),
+                    weight.rows,
+                    x.range,
+                    x.err,
+                    bias.as_deref(),
+                    requant.as_ref(),
+                    *relu,
+                )?;
+                Some(EState { shape, range, err, scale: None })
             }
             IntOp::AddRequant { m_a, m_b, out_spec, relu } => {
                 let (a, b) = (in0?, in1?);
-                if a.shape != b.shape {
-                    self.uncertifiable(i, &name, "branch shapes differ");
-                    return None;
-                }
                 let (ra, ea) = Self::fixed_edge(*m_a, a.range, a.err);
                 let (rb, eb) = Self::fixed_edge(*m_b, b.range, b.err);
                 let mut mapped = ra + rb;
@@ -651,15 +665,10 @@ impl Certifier {
                         + 0.5 * m_b.format.step() * maxabs(b.range),
                     self.local,
                 );
-                Some(EState { shape: a.shape, range: mapped.clamp_to(*out_spec), err, scale: None })
+                Some(EState { shape, range: mapped.clamp_to(*out_spec), err, scale: None })
             }
             IntOp::AddConstRequant { value, m, out_spec } => {
                 let a = in0?;
-                let n: usize = a.shape.iter().skip(1).product();
-                if value.numel() == 0 || !n.is_multiple_of(value.numel()) {
-                    self.uncertifiable(i, &name, "the constant does not broadcast over the input");
-                    return None;
-                }
                 let (cmin, cmax) = slice_min_max(value.as_slice());
                 let sum = a.range + Interval::new(cmin as i128, cmax as i128);
                 // The stored constant stands for a real within ½ code.
@@ -667,30 +676,18 @@ impl Certifier {
                 let ov = Self::overshoot(mapped, *out_spec);
                 let err = e + ov;
                 self.local = err - m.magnitude() * a.err;
-                Some(EState { shape: a.shape, range: mapped.clamp_to(*out_spec), err, scale: None })
+                Some(EState { shape, range: mapped.clamp_to(*out_spec), err, scale: None })
             }
-            IntOp::MaxPool2d { spec } => {
-                let x = in0?;
-                if x.shape.len() != 4 {
-                    self.uncertifiable(i, &name, "max_pool input is not rank 4");
-                    return None;
-                }
-                let (Some(oh), Some(ow)) = (
-                    conv_extent(x.shape[2], spec.kernel, spec.stride, spec.padding),
-                    conv_extent(x.shape[3], spec.kernel, spec.stride, spec.padding),
-                ) else {
-                    self.uncertifiable(i, &name, "the pooling window does not fit");
-                    return None;
-                };
-                // max over a window is 1-Lipschitz in the ∞-norm.
-                Some(EState { shape: vec![x.shape[0], x.shape[1], oh, ow], ..x })
-            }
+            // Shape-only ops move values without changing them (max over a
+            // window is 1-Lipschitz in the ∞-norm).
+            IntOp::MaxPool2d { .. }
+            | IntOp::Flatten
+            | IntOp::PatchToTokens
+            | IntOp::TakeToken { .. }
+            | IntOp::SplitHeads { .. }
+            | IntOp::MergeHeads { .. } => Some(EState { shape, ..in0? }),
             IntOp::GlobalAvgPool { frac_bits } => {
                 let x = in0?;
-                if x.shape.len() != 4 {
-                    self.uncertifiable(i, &name, "global_avg_pool input is not rank 4");
-                    return None;
-                }
                 let hw = (x.shape[2] * x.shape[3]).max(1);
                 let m = (((1i64 << (16 + *frac_bits as i64)) as f64) / hw as f64).round();
                 let sum = x.range.scale(hw as i128);
@@ -713,91 +710,28 @@ impl Certifier {
                 let err = 0.5 + (m / 65536.0) * hw as f64 * x.err + maxabs(sum) * 0.5 / 65536.0;
                 self.local = err - (m / 65536.0) * hw as f64 * x.err;
                 Some(EState {
-                    shape: vec![x.shape[0], x.shape[1]],
+                    shape,
                     range: out,
                     err,
                     scale: x.scale.map(|s| s / f64::from(1u32 << *frac_bits)),
                 })
             }
-            IntOp::Flatten => {
-                let x = in0?;
-                if x.shape.is_empty() {
-                    self.uncertifiable(i, &name, "flatten input has rank 0");
-                    return None;
-                }
-                let rest: usize = x.shape.iter().skip(1).product();
-                Some(EState { shape: vec![x.shape[0], rest], ..x })
-            }
-            IntOp::PatchToTokens => {
-                let x = in0?;
-                if x.shape.len() != 4 {
-                    self.uncertifiable(i, &name, "patch_to_tokens input is not rank 4");
-                    return None;
-                }
-                Some(EState { shape: vec![x.shape[0], x.shape[2] * x.shape[3], x.shape[1]], ..x })
-            }
             IntOp::ConcatToken { token } => {
                 let x = in0?;
-                if x.shape.len() != 3 || token.numel() != x.shape[2] {
-                    self.uncertifiable(i, &name, "the class token does not match the sequence");
-                    return None;
-                }
                 let (tmin, tmax) = slice_min_max(token.as_slice());
                 // The stored token stands for a real within ½ code.
                 let err = x.err.max(0.5);
                 self.local = 0.5;
                 Some(EState {
-                    shape: vec![x.shape[0], x.shape[1] + 1, x.shape[2]],
+                    shape,
                     range: x.range.union(Interval::new(tmin as i128, tmax as i128)),
                     err,
                     scale: x.scale,
                 })
             }
-            IntOp::TakeToken { index } => {
-                let x = in0?;
-                if x.shape.len() != 3 || *index >= x.shape[1] {
-                    self.uncertifiable(i, &name, "token index out of range");
-                    return None;
-                }
-                Some(EState { shape: vec![x.shape[0], x.shape[2]], ..x })
-            }
-            IntOp::SplitHeads { heads } => {
-                let x = in0?;
-                if x.shape.len() != 3 || *heads == 0 || x.shape[2] % heads != 0 {
-                    self.uncertifiable(i, &name, "embedding dim does not split by head count");
-                    return None;
-                }
-                Some(EState {
-                    shape: vec![x.shape[0] * heads, x.shape[1], x.shape[2] / heads],
-                    ..x
-                })
-            }
-            IntOp::MergeHeads { heads } => {
-                let x = in0?;
-                if x.shape.len() != 3 || *heads == 0 || x.shape[0] % heads != 0 {
-                    self.uncertifiable(i, &name, "batch·head extent does not merge by head count");
-                    return None;
-                }
-                Some(EState {
-                    shape: vec![x.shape[0] / heads, x.shape[1], x.shape[2] * heads],
-                    ..x
-                })
-            }
-            IntOp::BmmRequant { transpose_rhs, m, out_spec } => {
+            IntOp::BmmRequant { m, out_spec, .. } => {
                 let (a, b) = (in0?, in1?);
-                if a.shape.len() != 3 || b.shape.len() != 3 || a.shape[0] != b.shape[0] {
-                    self.uncertifiable(i, &name, "operands are not batched matrices");
-                    return None;
-                }
-                let (k, n_out, k_rhs) = if *transpose_rhs {
-                    (a.shape[2], b.shape[1], b.shape[2])
-                } else {
-                    (a.shape[2], b.shape[2], b.shape[1])
-                };
-                if k != k_rhs {
-                    self.uncertifiable(i, &name, "contraction extents differ");
-                    return None;
-                }
+                let k = a.shape[2];
                 let product = a.range * b.range;
                 let envelope =
                     Interval::new(product.lo.min(0) * k as i128, product.hi.max(0) * k as i128);
@@ -824,12 +758,7 @@ impl Certifier {
                     0.5 * m.format.step() * maxabs(acc),
                     self.local,
                 );
-                Some(EState {
-                    shape: vec![a.shape[0], a.shape[1], n_out],
-                    range: mapped.clamp_to(*out_spec),
-                    err,
-                    scale: None,
-                })
+                Some(EState { shape, range: mapped.clamp_to(*out_spec), err, scale: None })
             }
             IntOp::Requant { m, out_spec } => {
                 let x = in0?;
@@ -843,22 +772,9 @@ impl Certifier {
                     0.5 * m.format.step() * maxabs(x.range),
                     self.local,
                 );
-                Some(EState { shape: x.shape, range: mapped.clamp_to(*out_spec), err, scale: None })
+                Some(EState { shape, range: mapped.clamp_to(*out_spec), err, scale: None })
             }
             IntOp::LayerNorm(ln) => {
-                let x = in0?;
-                let Some(&d) = x.shape.last() else {
-                    self.uncertifiable(i, &name, "layer_norm input has rank 0");
-                    return None;
-                };
-                if ln.gamma_m.len() != d || ln.beta_b.len() != d {
-                    self.uncertifiable(
-                        i,
-                        &name,
-                        "gamma/beta lengths do not match the feature axis",
-                    );
-                    return None;
-                }
                 // Coarse, input-independent: both the int path and the
                 // grid-clamped reference land on the declared output grid,
                 // so their divergence is at most the grid width. This also
@@ -866,15 +782,9 @@ impl Certifier {
                 // the scale chain.
                 let err = ln.out_spec.width() as f64;
                 self.local = err;
-                Some(EState {
-                    shape: x.shape,
-                    range: Interval::of_spec(ln.out_spec),
-                    err,
-                    scale: None,
-                })
+                Some(EState { shape, range: Interval::of_spec(ln.out_spec), err, scale: None })
             }
             IntOp::SoftmaxLut(lut) => {
-                let x = in0?;
                 if lut.table.is_empty() {
                     self.uncertifiable(i, &name, "the softmax exp table is empty");
                     return None;
@@ -886,7 +796,7 @@ impl Certifier {
                 self.local = err;
                 self.check_lut_domination(i, &name, err, err);
                 Some(EState {
-                    shape: x.shape,
+                    shape,
                     range: Interval::new(0, lut.out_spec.qmax() as i128),
                     err,
                     scale: Some(f64::from(lut.out_scale())),
@@ -912,7 +822,7 @@ impl Certifier {
                 self.check_lut_domination(i, &name, self.local, err);
                 let (tmin, tmax) = slice_min_max(&lut.table);
                 Some(EState {
-                    shape: x.shape,
+                    shape,
                     range: Interval::new(tmin as i128, tmax as i128),
                     err,
                     scale: Some(f64::from(lut.out_scale)),
@@ -920,57 +830,6 @@ impl Certifier {
             }
         }
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn linear_error(
-        &mut self,
-        i: usize,
-        name: &str,
-        weight: &Tensor<i32>,
-        bias: Option<&[i64]>,
-        requant: Option<&MulQuant>,
-        relu: bool,
-        x: EState,
-    ) -> Option<EState> {
-        let (out_f, in_f) = (weight.dim(0), weight.dim(1));
-        let Some(&last) = x.shape.last() else {
-            self.uncertifiable(i, name, "linear input has rank 0");
-            return None;
-        };
-        if x.shape.len() < 2 || x.shape.len() > 3 || last != in_f {
-            self.uncertifiable(i, name, "the weight does not match the input shape");
-            return None;
-        }
-        let (range, err) =
-            self.mac_error(i, name, weight, out_f, x.range, x.err, bias, requant, relu)?;
-        let mut shape = x.shape.clone();
-        *shape.last_mut().expect("non-empty") = out_f;
-        Some(EState { shape, range, err, scale: None })
-    }
-}
-
-fn conv_extent(h: usize, k: usize, stride: usize, padding: usize) -> Option<usize> {
-    if stride == 0 || k == 0 {
-        return None;
-    }
-    let padded = h + 2 * padding;
-    if k > padded {
-        return None;
-    }
-    Some((padded - k) / stride + 1)
-}
-
-fn round_shift_i128(v: i128, bits: u8) -> i128 {
-    if bits == 0 {
-        return v;
-    }
-    (v + (1i128 << (bits - 1))) >> bits
-}
-
-fn slice_min_max(s: &[i32]) -> (i32, i32) {
-    let mut it = s.iter();
-    let Some(&first) = it.next() else { return (0, 0) };
-    it.fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)))
 }
 
 #[cfg(test)]

@@ -130,6 +130,22 @@ impl std::fmt::Display for Interval {
     }
 }
 
+/// The datapath's round-half-up `round_shift`, widened to `i128` for
+/// interval endpoints.
+pub(crate) fn round_shift_i128(v: i128, bits: u8) -> i128 {
+    if bits == 0 {
+        return v;
+    }
+    (v + (1i128 << (bits - 1))) >> bits
+}
+
+/// `(min, max)` of a slice, `(0, 0)` when empty.
+pub(crate) fn slice_min_max(s: &[i32]) -> (i32, i32) {
+    let mut it = s.iter();
+    let Some(&first) = it.next() else { return (0, 0) };
+    it.fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

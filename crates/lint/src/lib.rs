@@ -17,8 +17,10 @@
 //!    the consumer's declared grid; gross mismatches (a wrong shift) are
 //!    errors, residual worst-case saturation risk is a warning.
 //! 3. **Graph well-formedness** — dangling or forward `Src` references,
-//!    arity and shape inference across all ops, unreachable nodes, LUT
-//!    domain coverage for the softmax/GELU tables.
+//!    arity, shape inference across all ops (core's
+//!    [`t2c_core::intmodel::IntOp::out_dims`], the rule every executor
+//!    shares), unreachable nodes, LUT domain coverage for the
+//!    softmax/GELU tables.
 //! 4. **Export cross-checks** ([`manifest`]) — an
 //!    [`t2c_export::ExportManifest`] must agree with the analyzed graph on
 //!    node names, element counts and bit widths.
@@ -104,8 +106,8 @@ pub enum Rule {
     ForwardSrc,
     /// T2C004 — a node lists fewer operands than its op consumes.
     MissingOperand,
-    /// T2C005 — shape inference failed (rank, extent or parameter-length
-    /// mismatch).
+    /// T2C005 — core's shape rule (`IntOp::out_dims`) refused the node:
+    /// a rank, extent or parameter-length mismatch.
     ShapeMismatch,
     /// T2C006 — a node's output is never consumed and it is not the model
     /// output.

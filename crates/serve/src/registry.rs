@@ -52,7 +52,6 @@ use t2c_lint::{certify_model, lint_model, lint_package, ErrorBoundConfig, LintRe
 use t2c_tensor::Tensor;
 
 use crate::error::AdmissionError;
-use crate::runtime::panic_message;
 
 /// Circuit-breaker state (see the module docs). The `quarantined` mirror
 /// on [`AdmittedModel`] keeps the hot-path check a single atomic load.
@@ -364,8 +363,8 @@ impl ModelRegistry {
     ///
     /// Structural checks ([`AdmissionError::Duplicate`] /
     /// [`AdmissionError::BadModel`]) still apply, and so does plan
-    /// compilation: a model that panics under compile's shape inference
-    /// is refused with `BadModel`, never admitted.
+    /// compilation: a model whose static shape walk or weight packing
+    /// fails is refused with `BadModel`, never admitted.
     pub fn admit_unchecked(
         &self,
         name: &str,
@@ -469,20 +468,13 @@ impl ModelRegistry {
         // Compile or refuse: the plan (fused epilogues + arena layout,
         // packed dense weights) is the only serving executor, so a graph
         // that does not lower is not servable. The lint/certification
-        // verdicts above apply verbatim — the graph is untouched. Shape
-        // inference inside `compile` executes the graph, so a model that
-        // skipped the lint gate (`admit_unchecked`), or a graph the lint
-        // does not catch, may panic here; the panic becomes a structured
-        // refusal, keeping admission panic-free.
-        let plan =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.compile(input_dims)))
-                .map_err(|payload| {
-                    AdmissionError::BadModel(format!(
-                        "plan compilation panicked: {}",
-                        panic_message(payload.as_ref())
-                    ))
-                })?
-                .map_err(|e| AdmissionError::BadModel(format!("plan compilation failed: {e}")))?;
+        // verdicts above apply verbatim — the graph is untouched. Compile
+        // infers shapes statically and executes nothing, so a model that
+        // skipped the lint gate (`admit_unchecked`) is refused with a
+        // structured error, never a panic.
+        let plan = model
+            .compile(input_dims)
+            .map_err(|e| AdmissionError::BadModel(format!("plan compilation failed: {e}")))?;
         if t2c_obs::enabled() {
             t2c_obs::counter_add("serve.plans_compiled", 1);
         }
@@ -579,6 +571,7 @@ mod tests {
     use super::*;
     use t2c_core::intmodel::Src;
     use t2c_core::zoo;
+    use t2c_tensor::ops::PoolSpec;
 
     #[test]
     fn clean_model_is_admitted_with_its_lint_report() {
@@ -711,8 +704,8 @@ mod tests {
     }
 
     /// A model whose GeluLut table holds one entry: every input code but
-    /// −128 indexes out of bounds, including the zero input that plan
-    /// compilation's shape inference runs.
+    /// −128 indexes out of bounds when it runs. The lint gate refuses it
+    /// (T2C301); compiling it executes nothing, so the plan builds.
     fn one_entry_lut_model() -> IntModel {
         let spec = QuantSpec::signed(8);
         let mut m = IntModel::new();
@@ -733,12 +726,19 @@ mod tests {
 
     #[test]
     fn uncompilable_model_is_refused_through_admit_unchecked() {
+        // Flatten → MaxPool: the pool reads a rank-2 tensor, which the
+        // static shape walk inside compile refuses.
+        let spec = QuantSpec::signed(8);
+        let mut m = IntModel::new();
+        m.push("input", IntOp::Quantize { scale: 0.01, spec }, vec![]);
+        m.push("flat", IntOp::Flatten, vec![Src::Node(0)]);
+        m.push("pool", IntOp::MaxPool2d { spec: PoolSpec::new(2) }, vec![Src::Node(1)]);
         let reg = ModelRegistry::new();
-        let err = reg.admit_unchecked("boom", one_entry_lut_model(), &[1, 8]).unwrap_err();
+        let err = reg.admit_unchecked("boom", m, &[1, 1, 4, 4]).unwrap_err();
         let AdmissionError::BadModel(msg) = err else {
             panic!("expected BadModel, got {err:?}");
         };
-        assert!(msg.contains("plan compilation panicked"), "refusal must name the cause: {msg}");
+        assert!(msg.starts_with("plan compilation failed"), "refusal must name the cause: {msg}");
         assert!(reg.is_empty(), "a refused model must not be registered");
     }
 

@@ -901,10 +901,9 @@ mod tests {
     fn worker_panics_are_isolated_and_poison_the_model() {
         // A GeluLut whose table covers codes −128..=0 only (129 of 256):
         // any positive input code indexes out of bounds and panics inside
-        // the worker. The zero input of plan compilation's shape inference
-        // stays in range, so admission compiles the plan; the lint gate
-        // would refuse the table (T2C301), which is exactly why the test
-        // goes through admit_unchecked.
+        // the worker. Compiling the plan executes nothing, so admission
+        // succeeds; the lint gate would refuse the table (T2C301), which is
+        // exactly why the test goes through admit_unchecked.
         let reg = Arc::new(ModelRegistry::new());
         let mut m = t2c_core::IntModel::new();
         m.push("input", IntOp::Quantize { scale: 0.01, spec: QuantSpec::signed(8) }, vec![]);

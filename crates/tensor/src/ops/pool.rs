@@ -22,7 +22,13 @@ impl PoolSpec {
         PoolSpec { kernel, stride: kernel, padding: 0 }
     }
 
-    fn out_extent(&self, h: usize) -> Result<usize> {
+    /// Output spatial extent for an input extent `h`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the kernel or stride is zero, or the window
+    /// does not fit in the padded input.
+    pub fn out_extent(&self, h: usize) -> Result<usize> {
         if self.stride == 0 || self.kernel == 0 {
             return Err(TensorError::InvalidGeometry("pool kernel/stride must be nonzero".into()));
         }
