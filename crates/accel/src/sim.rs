@@ -1,6 +1,6 @@
 use std::path::Path;
 
-use t2c_core::intmodel::IntOp;
+use t2c_core::intmodel::{IntOp, LinearWeight};
 use t2c_core::IntModel;
 use t2c_tensor::Tensor;
 
@@ -202,7 +202,7 @@ impl Accelerator {
             };
             let (macs, cycles, weight_bytes, activation_bytes) = match &node.op {
                 IntOp::Conv2d { weight, weight_spec, .. }
-                | IntOp::Linear { weight, weight_spec, .. } => {
+                | IntOp::Linear { weight: LinearWeight::Dense(weight), weight_spec, .. } => {
                     let (numel, oc) = (weight.numel(), weight.dim(0));
                     let depth = numel / oc;
                     let nz = numel - weight.count_zeros();
@@ -219,15 +219,15 @@ impl Accelerator {
                     let wbytes = (nz * weight_spec.bits as usize).div_ceil(8) as u64;
                     (macs, tiles(oc) * inner.max(1), wbytes, activation_bytes)
                 }
-                IntOp::LinearSparse { weight, weight_spec, .. } => {
+                IntOp::Linear { weight: LinearWeight::Sparse { mat, .. }, weight_spec, .. } => {
                     // A compressed layer skips zeros by construction: only
                     // the stored slots are fetched and multiplied, whether
                     // or not the array's zero-skipping gate is on.
-                    let stored = weight.stored();
-                    let total = weight.rows * weight.cols;
-                    let inner = ((weight.cols as f64) * stored as f64 / total as f64).ceil() as u64;
+                    let stored = mat.stored();
+                    let total = mat.rows * mat.cols;
+                    let inner = ((mat.cols as f64) * stored as f64 / total as f64).ceil() as u64;
                     let wbytes = (stored * weight_spec.bits as usize).div_ceil(8) as u64;
-                    (cost.macs, tiles(weight.rows) * inner.max(1), wbytes, activation_bytes)
+                    (cost.macs, tiles(mat.rows) * inner.max(1), wbytes, activation_bytes)
                 }
                 IntOp::BmmRequant { .. } => {
                     let ([bs, m, k], n) = ([out[0], out[1], ins[0][2]], out[2]);

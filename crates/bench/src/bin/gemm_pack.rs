@@ -23,11 +23,10 @@
 //! T2C_THREADS=4 cargo run --release -p t2c-bench --bin gemm_pack
 //! ```
 
-use std::time::Instant;
-
+use t2c_bench::paired_median;
 use t2c_tensor::{matmul_i32_sat_packed, PackedMat, Tensor};
 
-/// Timing repetitions (median-of); two extra warmup runs precede them.
+/// Timed dense/packed pairs (median-of); two warm-up pairs precede them.
 const REPS: usize = 9;
 /// The gated shape: the largest serving GEMM in the sweep.
 const GATE_SHAPE: (usize, usize, usize) = (64, 1024, 1024);
@@ -44,21 +43,6 @@ struct ShapeResult {
     bit_identical: bool,
 }
 
-fn median_ns<F: FnMut()>(mut f: F) -> u64 {
-    for _ in 0..2 {
-        f();
-    }
-    let mut times: Vec<u64> = (0..REPS)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
 fn measure(m: usize, k: usize, n: usize) -> ShapeResult {
     // Activation codes on the int8 grid, weights [n, k] in the Linear
     // layer's [OUT, IN] orientation.
@@ -72,16 +56,26 @@ fn measure(m: usize, k: usize, n: usize) -> ShapeResult {
 
     // Dense interpreter path: per-call transpose + naive saturating
     // matmul — the exact sequence the interpreter runs for `IntOp::Linear`.
-    let dense_ns = median_ns(|| {
-        let wt = w.transpose().expect("rank-2");
-        std::hint::black_box(x.matmul_i(&wt).expect("conforming shapes"));
-    });
     // Packed kernel: the panels were built once, as plan compilation does.
-    let packed_ns = median_ns(|| {
-        std::hint::black_box(matmul_i32_sat_packed(&x, &packed).expect("valid panels"));
-    });
-    let speedup = dense_ns as f64 / packed_ns.max(1) as f64;
-    let r = ShapeResult { m, k, n, dense_ns, packed_ns, speedup, bit_identical };
+    let t = paired_median(
+        REPS,
+        || {
+            let wt = w.transpose().expect("rank-2");
+            std::hint::black_box(x.matmul_i(&wt).expect("conforming shapes"));
+        },
+        || {
+            std::hint::black_box(matmul_i32_sat_packed(&x, &packed).expect("valid panels"));
+        },
+    );
+    let r = ShapeResult {
+        m,
+        k,
+        n,
+        dense_ns: t.baseline_ns,
+        packed_ns: t.candidate_ns,
+        speedup: t.speedup,
+        bit_identical,
+    };
     println!(
         "| {}x{}x{} | {:.2} | {:.2} | {:.2}x | {} |",
         r.m,

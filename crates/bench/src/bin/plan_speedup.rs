@@ -26,8 +26,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
+use t2c_bench::paired_median;
 use t2c_core::{zoo, Arena};
 use t2c_tensor::{with_threads, Tensor};
 
@@ -60,27 +60,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Batch height of the timed end-to-end runs.
 const BATCH: usize = 16;
-/// Timing repetitions (median-of); two extra warmup runs precede them.
+/// Timed interpreter/plan pairs (median-of); two warm-up pairs precede
+/// them.
 const REPS: usize = 11;
 /// Steady-state iterations the allocation odometer watches.
 const STEADY_ITERS: u64 = 100;
 /// The deployment gate: planned end-to-end over interpreted, 1 thread.
 const GATE_SPEEDUP: f64 = 1.3;
-
-fn median_ns<F: FnMut()>(mut f: F) -> u64 {
-    for _ in 0..2 {
-        f();
-    }
-    let mut times: Vec<u64> = (0..REPS)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
 
 fn main() {
     let (model, dims) = zoo::tiny_mlp();
@@ -94,18 +80,21 @@ fn main() {
     let mut arena = Arena::new();
     let mut out: Vec<i32> = Vec::new();
 
-    let (unplanned_ns, planned_ns, bit_identical, steady_allocs) = with_threads(1, || {
+    let (t, bit_identical, steady_allocs) = with_threads(1, || {
         let want = model.run_quantized(&x).expect("interpreter run");
         plan.run_quantized_into(&x, &mut arena, &mut out).expect("planned run");
         let identical = want.as_slice() == out.as_slice();
 
-        let unplanned_ns = median_ns(|| {
-            std::hint::black_box(model.run_quantized(&x).expect("interpreter run"));
-        });
-        let planned_ns = median_ns(|| {
-            plan.run_quantized_into(&x, &mut arena, &mut out).expect("planned run");
-            std::hint::black_box(&out);
-        });
+        let t = paired_median(
+            REPS,
+            || {
+                std::hint::black_box(model.run_quantized(&x).expect("interpreter run"));
+            },
+            || {
+                plan.run_quantized_into(&x, &mut arena, &mut out).expect("planned run");
+                std::hint::black_box(&out);
+            },
+        );
 
         // The odometer run: arena and output vector are warm, so the only
         // permissible count is zero. Any stray Vec inside the step loop
@@ -116,10 +105,10 @@ fn main() {
             std::hint::black_box(&out);
         }
         let steady = ALLOCS.load(Ordering::Relaxed) - before;
-        (unplanned_ns, planned_ns, identical, steady)
+        (t, identical, steady)
     });
 
-    let speedup = unplanned_ns as f64 / planned_ns.max(1) as f64;
+    let (unplanned_ns, planned_ns, speedup) = (t.baseline_ns, t.candidate_ns, t.speedup);
     let pass = speedup >= GATE_SPEEDUP && bit_identical && steady_allocs == 0;
 
     println!("| path | ms/batch ({BATCH} rows) |");

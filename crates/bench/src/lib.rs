@@ -7,6 +7,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::time::Instant;
+
 use t2c_core::qmodels::QuantModel;
 use t2c_core::trainer::{dual_path_divergence, evaluate_int, PtqPipeline};
 use t2c_core::{FuseScheme, T2C};
@@ -57,6 +59,57 @@ pub fn dump_profile(tag: &str) {
     }
 }
 
+/// A baseline timed against a candidate by [`paired_median`].
+#[derive(Debug, Clone, Copy)]
+pub struct Paired {
+    /// Median baseline time, ns.
+    pub baseline_ns: u64,
+    /// Median candidate time, ns.
+    pub candidate_ns: u64,
+    /// Median of the per-pair `baseline / candidate` ratios.
+    pub speedup: f64,
+}
+
+/// Times `baseline` against `candidate` over `reps` interleaved pairs,
+/// after two warm-up pairs. Each ratio compares two runs taken moments
+/// apart, so a host slowdown that spans a pair cancels out of it instead
+/// of landing on one side only, as it does when each side's median is
+/// taken in its own time window. The order within a pair alternates, so
+/// neither side always runs second on caches the other warmed.
+pub fn paired_median(
+    reps: usize,
+    mut baseline: impl FnMut(),
+    mut candidate: impl FnMut(),
+) -> Paired {
+    fn time(f: &mut impl FnMut()) -> u64 {
+        let t0 = Instant::now();
+        f();
+        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+    for _ in 0..2 {
+        baseline();
+        candidate();
+    }
+    let (mut base, mut cand, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..reps.max(1) {
+        let (b, c) = if rep % 2 == 0 {
+            let b = time(&mut baseline);
+            (b, time(&mut candidate))
+        } else {
+            let c = time(&mut candidate);
+            (time(&mut baseline), c)
+        };
+        base.push(b);
+        cand.push(c);
+        ratios.push(b as f64 / c.max(1) as f64);
+    }
+    base.sort_unstable();
+    cand.sort_unstable();
+    ratios.sort_unstable_by(f64::total_cmp);
+    let mid = base.len() / 2;
+    Paired { baseline_ns: base[mid], candidate_ns: cand[mid], speedup: ratios[mid] }
+}
+
 /// Prints a Markdown-style table row.
 pub fn row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));
@@ -65,6 +118,22 @@ pub fn row(cells: &[String]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn paired_median_runs_both_sides_in_pairs() {
+        let (mut b, mut c) = (0, 0);
+        let p = paired_median(
+            5,
+            || {
+                b += 1;
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            },
+            || c += 1,
+        );
+        assert_eq!((b, c), (7, 7), "two warm-up pairs, then five timed pairs");
+        assert!(p.baseline_ns > p.candidate_ns);
+        assert!(p.speedup > 1.0);
+    }
 
     #[test]
     fn fmt_acc_matches_paper_style() {

@@ -7,6 +7,8 @@
 //! the initial input quantization — this is the property RTL verification
 //! needs, and the export crate serializes exactly this structure.
 
+use std::borrow::Cow;
+
 use t2c_tensor::ops::{conv2d_i32, Conv2dSpec, PoolSpec};
 use t2c_tensor::{matmul_sparse_i, SparseEncoding, SparseMat, Tensor, TensorError};
 
@@ -121,35 +123,16 @@ pub enum IntOp {
     /// Integer linear layer; without a requantizer the raw i32 accumulators
     /// are the output (classifier head — argmax is scale-invariant).
     Linear {
-        /// Integer weights `[OUT, IN]`.
-        weight: Tensor<i32>,
+        /// Integer weights `[OUT, IN]`, dense or compressed.
+        weight: LinearWeight,
         /// Accumulator-domain bias (length OUT).
         bias: Option<Vec<i64>>,
         /// Optional requantizer.
         requant: Option<MulQuant>,
         /// Integer ReLU before the clamp (requires `requant`).
         relu: bool,
-        /// Grid the weights live on.
+        /// Grid the weight codes live on.
         weight_spec: QuantSpec,
-    },
-    /// Integer linear layer over a compressed sparse weight matrix —
-    /// produced by [`IntModel::sparsify`] from a pruned [`IntOp::Linear`].
-    /// Bit-identical to the dense op on the densified weights; only the
-    /// storage and the kernel's skip-zero dispatch differ.
-    LinearSparse {
-        /// Compressed `[OUT, IN]` weights (bitmask or N:M layout).
-        weight: SparseMat,
-        /// Accumulator-domain bias (length OUT).
-        bias: Option<Vec<i64>>,
-        /// Optional requantizer.
-        requant: Option<MulQuant>,
-        /// Integer ReLU before the clamp (requires `requant`).
-        relu: bool,
-        /// Grid the weight payloads live on.
-        weight_spec: QuantSpec,
-        /// Structural sparsity the producer claims for this node; the lint
-        /// layer cross-checks it against the stored structure (T2C503).
-        declared_sparsity: f32,
     },
     /// Residual add: each branch is rescaled into the output grid by a
     /// fixed-point factor, then summed (+ optional ReLU).
@@ -235,6 +218,108 @@ pub enum IntOp {
     GeluLut(GeluLut),
 }
 
+/// The `[OUT, IN]` code matrix of an [`IntOp::Linear`] in one of its two
+/// storage layouts. Both layouts describe the same matrix and execute
+/// bit-identically; only the storage and the kernel that reads it differ
+/// (the dense GEMM, or the skip-zero kernel over the stored slots).
+#[derive(Debug, Clone)]
+pub enum LinearWeight {
+    /// Every code, row-major.
+    Dense(Tensor<i32>),
+    /// Compressed codes (bitmask or N:M layout), as
+    /// [`IntModel::sparsify`] produces them from a pruned dense weight.
+    Sparse {
+        /// The stored slots and their structure.
+        mat: SparseMat,
+        /// Structural sparsity the producer claims for this weight; the
+        /// lint layer cross-checks it against the stored structure
+        /// (T2C503).
+        declared_sparsity: f32,
+    },
+}
+
+impl From<Tensor<i32>> for LinearWeight {
+    fn from(w: Tensor<i32>) -> Self {
+        LinearWeight::Dense(w)
+    }
+}
+
+impl LinearWeight {
+    /// A compressed weight declaring the sparsity it actually stores.
+    pub fn sparse(mat: SparseMat) -> Self {
+        let declared_sparsity = mat.sparsity();
+        LinearWeight::Sparse { mat, declared_sparsity }
+    }
+
+    /// The `[OUT, IN]` extents (a malformed dense weight reports its own
+    /// dims, which [`IntOp::out_dims`] refuses).
+    pub fn dims(&self) -> Vec<usize> {
+        match self {
+            LinearWeight::Dense(w) => w.dims().to_vec(),
+            LinearWeight::Sparse { mat, .. } => vec![mat.rows, mat.cols],
+        }
+    }
+
+    /// Dense element count `OUT·IN`.
+    pub fn numel(&self) -> usize {
+        match self {
+            LinearWeight::Dense(w) => w.numel(),
+            LinearWeight::Sparse { mat, .. } => mat.rows * mat.cols,
+        }
+    }
+
+    /// The stored codes — what a weight memory holds and the kernel
+    /// multiplies: every element, or the packed slots (N:M padding
+    /// included).
+    pub fn codes(&self) -> &[i32] {
+        match self {
+            LinearWeight::Dense(w) => w.as_slice(),
+            LinearWeight::Sparse { mat, .. } => &mat.vals,
+        }
+    }
+
+    /// Structural-index storage in bits: none when dense, one mask bit
+    /// per dense element for the bitmask layout, `ceil(log2 m)` offset
+    /// bits per stored slot for N:M.
+    pub fn index_bits(&self) -> usize {
+        match self {
+            LinearWeight::Dense(_) => 0,
+            LinearWeight::Sparse { mat, .. } => match &mat.encoding {
+                SparseEncoding::Bitmask { .. } => mat.rows * mat.cols,
+                SparseEncoding::Nm { m, .. } => {
+                    let off_bits = usize::BITS - usize::from(*m).saturating_sub(1).leading_zeros();
+                    mat.stored() * off_bits as usize
+                }
+            },
+        }
+    }
+
+    /// Zero codes in the `[OUT, IN]` matrix (unstored elements count).
+    pub fn zeros(&self) -> usize {
+        match self {
+            LinearWeight::Dense(w) => w.count_zeros(),
+            LinearWeight::Sparse { mat, .. } => mat.rows * mat.cols - mat.nnz(),
+        }
+    }
+
+    /// The dense `[OUT, IN]` matrix, borrowed when already dense.
+    pub fn to_dense(&self) -> Cow<'_, Tensor<i32>> {
+        match self {
+            LinearWeight::Dense(w) => Cow::Borrowed(w),
+            LinearWeight::Sparse { mat, .. } => Cow::Owned(mat.to_dense()),
+        }
+    }
+
+    /// A short label for the storage layout: `"dense"`, `"bitmask"` or
+    /// `"n:m"`.
+    pub fn layout_label(&self) -> String {
+        match self {
+            LinearWeight::Dense(_) => "dense".to_owned(),
+            LinearWeight::Sparse { mat, .. } => mat.layout_label(),
+        }
+    }
+}
+
 impl IntOp {
     /// Canonical short label of the op kind — shared by export manifests,
     /// lint diagnostics and reports.
@@ -242,8 +327,8 @@ impl IntOp {
         match self {
             IntOp::Quantize { .. } => "quantize",
             IntOp::Conv2d { .. } => "conv2d_int",
-            IntOp::Linear { .. } => "linear_int",
-            IntOp::LinearSparse { .. } => "linear_sparse",
+            IntOp::Linear { weight: LinearWeight::Dense(_), .. } => "linear_int",
+            IntOp::Linear { weight: LinearWeight::Sparse { .. }, .. } => "linear_sparse",
             IntOp::AddRequant { .. } => "add_requant",
             IntOp::AddConstRequant { .. } => "add_const_requant",
             IntOp::MaxPool2d { .. } => "max_pool",
@@ -270,9 +355,7 @@ impl IntOp {
         match self {
             IntOp::Quantize { spec, .. } => Some(*spec),
             IntOp::Conv2d { requant, .. } => Some(requant.out_spec),
-            IntOp::Linear { requant, .. } | IntOp::LinearSparse { requant, .. } => {
-                requant.as_ref().map(|r| r.out_spec)
-            }
+            IntOp::Linear { requant, .. } => requant.as_ref().map(|r| r.out_spec),
             IntOp::AddRequant { out_spec, .. }
             | IntOp::AddConstRequant { out_spec, .. }
             | IntOp::BmmRequant { out_spec, .. }
@@ -280,6 +363,17 @@ impl IntOp {
             IntOp::LayerNorm(ln) => Some(ln.out_spec),
             IntOp::SoftmaxLut(lut) => Some(lut.out_spec),
             IntOp::GeluLut(lut) => Some(lut.out_spec),
+            _ => None,
+        }
+    }
+
+    /// The codes a MAC op's weight memory holds — every element of a
+    /// dense weight, only the stored slots of a compressed one — and the
+    /// grid they live on; `None` for ops without a weight memory.
+    pub fn weight_codes(&self) -> Option<(&[i32], QuantSpec)> {
+        match self {
+            IntOp::Conv2d { weight, weight_spec, .. } => Some((weight.as_slice(), *weight_spec)),
+            IntOp::Linear { weight, weight_spec, .. } => Some((weight.codes(), *weight_spec)),
             _ => None,
         }
     }
@@ -349,12 +443,7 @@ impl IntOp {
                 Ok(vec![n, oc, spec.out_extent(h, kh)?, spec.out_extent(w, kw)?])
             }
             IntOp::Linear { weight, requant, .. } => {
-                let [out_f, in_f] = mac_weight(weight.dims(), op)?;
-                requant_params(requant.as_ref(), op)?;
-                linear_out(x(0)?, out_f, in_f, op)
-            }
-            IntOp::LinearSparse { weight, requant, .. } => {
-                let [out_f, in_f] = mac_weight(&[weight.rows, weight.cols], op)?;
+                let [out_f, in_f] = mac_weight(&weight.dims(), op)?;
                 requant_params(requant.as_ref(), op)?;
                 linear_out(x(0)?, out_f, in_f, op)
             }
@@ -464,15 +553,17 @@ impl IntOp {
     pub fn cost(&self, inputs: &[&[usize]], out: &[usize]) -> OpCost {
         let out_elems = out.iter().product::<usize>() as u64;
         let (macs, weight_elems) = match self {
-            IntOp::Conv2d { weight, .. } | IntOp::Linear { weight, .. } => {
-                // Each output accumulates one weight row: C/g·K·K or IN.
+            IntOp::Conv2d { weight, .. } => {
+                // Each output accumulates one weight row of C/g·K·K.
                 let per_out = weight.numel() / weight.dims().first().map_or(1, |&d| d.max(1));
                 (out_elems * per_out as u64, weight.numel() as u64)
             }
-            // Skip-zero kernel: only stored slots are multiplied.
-            IntOp::LinearSparse { weight, .. } => {
-                let rows = out_elems / weight.rows.max(1) as u64;
-                (rows * weight.stored() as u64, weight.stored() as u64)
+            IntOp::Linear { weight, .. } => {
+                // Each output row multiplies every stored code once: all
+                // of them when dense, only the stored slots when sparse.
+                let stored = weight.codes().len() as u64;
+                let out_f = weight.dims().first().map_or(1, |&d| d.max(1));
+                (out_elems / out_f as u64 * stored, stored)
             }
             IntOp::BmmRequant { .. } => {
                 let k = inputs.first().and_then(|a| a.last()).copied().unwrap_or(0);
@@ -489,9 +580,9 @@ impl IntOp {
 /// and the accelerator model derive MACs and traffic from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCost {
-    /// Multiply-accumulates (stored MACs for `LinearSparse`).
+    /// Multiply-accumulates (stored MACs for a sparse `Linear`).
     pub macs: u64,
-    /// Weight elements read (stored slots for `LinearSparse`).
+    /// Weight elements read (stored slots for a sparse `Linear`).
     pub weight_elems: u64,
     /// Operand elements read.
     pub in_elems: u64,
@@ -770,9 +861,8 @@ impl IntModel {
                     };
                     requant_counted(requant, &acc, 1, *relu)
                 }
-                IntOp::Linear { bias, requant, relu, .. }
-                | IntOp::LinearSparse { bias, requant, relu, .. } => {
-                    let acc = linear_i32(operand(0), &node.op, out_dims)?;
+                IntOp::Linear { weight, bias, requant, relu, .. } => {
+                    let acc = linear_i32(operand(0), weight, out_dims)?;
                     let axis = acc.rank() - 1;
                     let acc = match bias {
                         Some(b) => add_channel_bias(&acc, b, axis),
@@ -889,13 +979,8 @@ impl IntModel {
                     bits += requant.size_bytes() * 8;
                 }
                 IntOp::Linear { weight, weight_spec, bias, requant, .. } => {
-                    bits += weight.numel() * weight_spec.bits as usize;
-                    bits += bias.as_ref().map_or(0, |b| b.len() * 32);
-                    bits += requant.as_ref().map_or(0, super::mulquant::MulQuant::size_bytes) * 8;
-                }
-                IntOp::LinearSparse { weight, weight_spec, bias, requant, .. } => {
-                    bits += weight.stored() * weight_spec.bits as usize;
-                    bits += sparse_index_bits(weight);
+                    bits += weight.codes().len() * weight_spec.bits as usize;
+                    bits += weight.index_bits();
                     bits += bias.as_ref().map_or(0, |b| b.len() * 32);
                     bits += requant.as_ref().map_or(0, super::mulquant::MulQuant::size_bytes) * 8;
                 }
@@ -933,13 +1018,13 @@ impl IntModel {
         let mut total = 0usize;
         for node in &self.nodes {
             match &node.op {
-                IntOp::Conv2d { weight, .. } | IntOp::Linear { weight, .. } => {
+                IntOp::Conv2d { weight, .. } => {
                     zeros += weight.count_zeros();
                     total += weight.numel();
                 }
-                IntOp::LinearSparse { weight, .. } => {
-                    zeros += weight.rows * weight.cols - weight.nnz();
-                    total += weight.rows * weight.cols;
+                IntOp::Linear { weight, .. } => {
+                    zeros += weight.zeros();
+                    total += weight.numel();
                 }
                 _ => {}
             }
@@ -951,9 +1036,9 @@ impl IntModel {
         }
     }
 
-    /// Converts dense [`IntOp::Linear`] nodes whose zero-code fraction is
-    /// at least `threshold` into [`IntOp::LinearSparse`], returning the
-    /// number of nodes converted.
+    /// Compresses, in place, every dense [`IntOp::Linear`] weight whose
+    /// zero-code fraction is at least `threshold` into a
+    /// [`LinearWeight::Sparse`], returning the number of nodes converted.
     ///
     /// This is the deployment half of pruning: the pruners zero float
     /// weights, symmetric quantization maps those zeros to code 0, and
@@ -962,40 +1047,22 @@ impl IntModel {
     /// its structural sparsity is close to the value sparsity (padding
     /// would otherwise store more than a bitmask), else the per-row
     /// bitmask. Nodes below the threshold — where skip-zero bookkeeping
-    /// would cost more than it saves — and `Conv2d` nodes (no sparse conv
-    /// kernel) stay dense; the dense kernels are the fallback dispatch.
+    /// would cost more than it saves — `Conv2d` nodes (no sparse conv
+    /// kernel) and malformed weights that are not rank 2 stay dense; the
+    /// dense kernels are the fallback dispatch.
     pub fn sparsify(&mut self, threshold: f32) -> usize {
         let mut converted = 0usize;
         for node in &mut self.nodes {
-            let replacement = match &node.op {
-                IntOp::Linear { weight, bias, requant, relu, weight_spec } => {
-                    let numel = weight.numel();
-                    if numel == 0 {
-                        None
-                    } else {
-                        let value_sparsity = weight.count_zeros() as f32 / numel as f32;
-                        if value_sparsity < threshold {
-                            None
-                        } else {
-                            let sparse = pick_encoding(weight, value_sparsity);
-                            let declared_sparsity = sparse.sparsity();
-                            Some(IntOp::LinearSparse {
-                                weight: sparse,
-                                bias: bias.clone(),
-                                requant: requant.clone(),
-                                relu: *relu,
-                                weight_spec: *weight_spec,
-                                declared_sparsity,
-                            })
-                        }
-                    }
-                }
-                _ => None,
-            };
-            if let Some(op) = replacement {
-                node.op = op;
-                converted += 1;
+            let IntOp::Linear { weight, .. } = &mut node.op else { continue };
+            let LinearWeight::Dense(dense) = weight else { continue };
+            let numel = dense.numel();
+            let value_sparsity = dense.count_zeros() as f32 / numel.max(1) as f32;
+            if numel == 0 || value_sparsity < threshold {
+                continue;
             }
+            let Some(mat) = pick_encoding(dense, value_sparsity) else { continue };
+            *weight = LinearWeight::sparse(mat);
+            converted += 1;
         }
         converted
     }
@@ -1004,30 +1071,18 @@ impl IntModel {
 /// Chooses the tightest supported sparse encoding for a linear weight:
 /// an N:M layout (1:4, then 2:4) when the weights satisfy the pattern and
 /// its structural sparsity `1 − n/m` is within 0.125 of the value
-/// sparsity, else the general bitmask.
-fn pick_encoding(weight: &Tensor<i32>, value_sparsity: f32) -> SparseMat {
+/// sparsity, else the general bitmask. `None` for a weight that is not
+/// rank 2 (a malformed graph, which [`IntOp::out_dims`] refuses).
+fn pick_encoding(weight: &Tensor<i32>, value_sparsity: f32) -> Option<SparseMat> {
     for (n, m) in [(1u8, 4u8), (2, 4)] {
         let structural = 1.0 - f32::from(n) / f32::from(m);
         if (value_sparsity - structural).abs() <= 0.125 {
             if let Ok(sp) = SparseMat::from_dense_nm(weight, n, m) {
-                return sp;
+                return Some(sp);
             }
         }
     }
-    SparseMat::from_dense(weight).expect("linear weight is rank 2")
-}
-
-/// Structural-index storage of a sparse weight: one mask bit per dense
-/// element for the bitmask layout, `ceil(log2 m)` offset bits per stored
-/// slot for N:M.
-fn sparse_index_bits(w: &SparseMat) -> usize {
-    match &w.encoding {
-        SparseEncoding::Bitmask { .. } => w.rows * w.cols,
-        SparseEncoding::Nm { m, .. } => {
-            let off_bits = (usize::BITS - (*m as usize).saturating_sub(1).leading_zeros()) as usize;
-            w.stored() * off_bits
-        }
-    }
+    SparseMat::from_dense(weight).ok()
 }
 
 /// Adds an accumulator-domain bias along `ch_axis` with the saturating-i32
@@ -1054,9 +1109,9 @@ fn add_channel_bias(acc: &Tensor<i32>, bias: &[i64], ch_axis: usize) -> Tensor<i
     out
 }
 
-/// The MAC of a `Linear`/`LinearSparse` node over `[N, IN]` or
-/// `[N, L, IN]`; rank-3 inputs fold their leading axes into GEMM rows.
-fn linear_i32(x: &Tensor<i32>, op: &IntOp, out_dims: &[usize]) -> Result<Tensor<i32>> {
+/// The MAC of a `Linear` node over `[N, IN]` or `[N, L, IN]`; rank-3
+/// inputs fold their leading axes into GEMM rows.
+fn linear_i32(x: &Tensor<i32>, weight: &LinearWeight, out_dims: &[usize]) -> Result<Tensor<i32>> {
     let folded;
     let rows = if x.rank() == 2 {
         x
@@ -1065,10 +1120,9 @@ fn linear_i32(x: &Tensor<i32>, op: &IntOp, out_dims: &[usize]) -> Result<Tensor<
         folded = x.reshape(&[x.numel() / din, din])?;
         &folded
     };
-    let acc = match op {
-        IntOp::Linear { weight, .. } => rows.matmul_i(&weight.transpose()?)?,
-        IntOp::LinearSparse { weight, .. } => matmul_sparse_i(rows, weight)?,
-        _ => unreachable!("linear_i32 runs linear ops only"),
+    let acc = match weight {
+        LinearWeight::Dense(w) => rows.matmul_i(&w.transpose()?)?,
+        LinearWeight::Sparse { mat, .. } => matmul_sparse_i(rows, mat)?,
     };
     if x.rank() == 2 {
         Ok(acc)
@@ -1277,7 +1331,7 @@ mod tests {
         m.push(
             "fc",
             IntOp::Linear {
-                weight: w,
+                weight: w.into(),
                 bias: Some(vec![10, -10]),
                 requant: None,
                 relu: false,
@@ -1301,7 +1355,7 @@ mod tests {
         m.push(
             "fc",
             IntOp::Linear {
-                weight: Tensor::from_vec(vec![1, 0, 0, 1], &[2, 2]).unwrap(),
+                weight: Tensor::from_vec(vec![1, 0, 0, 1], &[2, 2]).unwrap().into(),
                 bias: None,
                 requant: None,
                 relu: false,
@@ -1529,7 +1583,7 @@ mod tests {
         m.push(
             "fc",
             IntOp::Linear {
-                weight: wfc,
+                weight: wfc.into(),
                 bias: Some((0..6).map(|i| i as i64 - 3).collect()),
                 requant: None,
                 relu: false,
@@ -1541,7 +1595,7 @@ mod tests {
         m.push(
             "head",
             IntOp::Linear {
-                weight: whead,
+                weight: whead.into(),
                 bias: None,
                 requant: None,
                 relu: false,
@@ -1553,7 +1607,10 @@ mod tests {
         assert_eq!(m.sparsify(0.3), 1);
         assert_eq!(m.nodes[1].op.label(), "linear_sparse");
         assert_eq!(m.nodes[2].op.label(), "linear_int", "low-sparsity node stays dense");
-        let IntOp::LinearSparse { weight, declared_sparsity, .. } = &m.nodes[1].op else {
+        let IntOp::Linear {
+            weight: LinearWeight::Sparse { mat: weight, declared_sparsity }, ..
+        } = &m.nodes[1].op
+        else {
             panic!("fc did not convert");
         };
         assert_eq!(weight.layout_label(), "2:4");
@@ -1578,7 +1635,7 @@ mod tests {
         m.push(
             "fc",
             IntOp::Linear {
-                weight: w,
+                weight: w.into(),
                 bias: None,
                 requant: None,
                 relu: false,
@@ -1587,9 +1644,34 @@ mod tests {
             vec![Src::Node(0)],
         );
         assert_eq!(m.sparsify(0.5), 1);
-        let IntOp::LinearSparse { weight, .. } = &m.nodes[1].op else { panic!("not converted") };
+        let IntOp::Linear { weight: LinearWeight::Sparse { mat: weight, .. }, .. } = &m.nodes[1].op
+        else {
+            panic!("not converted")
+        };
         assert_eq!(weight.layout_label(), "bitmask");
         assert!((weight.sparsity() - 0.9).abs() < 1e-6);
+    }
+
+    #[test]
+    fn sparsify_leaves_a_malformed_weight_dense() {
+        // A rank-3 all-zero weight: the shape walk refuses the graph, and
+        // sparsify must skip the node rather than panic compressing it.
+        let mut m = IntModel::new();
+        m.push("input", IntOp::Quantize { scale: 0.1, spec: QuantSpec::signed(8) }, vec![]);
+        m.push(
+            "fc",
+            IntOp::Linear {
+                weight: Tensor::<i32>::zeros(&[2, 2, 2]).into(),
+                bias: None,
+                requant: None,
+                relu: false,
+                weight_spec: QuantSpec::signed(8),
+            },
+            vec![Src::Node(0)],
+        );
+        assert!(m.infer_shapes(&[1, 2]).is_err());
+        assert_eq!(m.sparsify(0.5), 0);
+        assert_eq!(m.nodes[1].op.label(), "linear_int");
     }
 
     #[test]
@@ -1710,7 +1792,7 @@ mod tests {
         m8.push(
             "fc",
             IntOp::Linear {
-                weight: w.clone(),
+                weight: w.clone().into(),
                 bias: None,
                 requant: None,
                 relu: false,

@@ -5,7 +5,7 @@
 //! **zero steady-state heap allocations** (convolution and batched-matmul
 //! steps excepted; see [`ExecPlan::steady_allocs`]):
 //!
-//! 1. **Fusion.** Every `Linear` / `LinearSparse` / `Conv2d` node — which
+//! 1. **Fusion.** Every `Linear` (dense or sparse) / `Conv2d` node — which
 //!    the reference interpreter runs as up to four full-tensor passes (MAC,
 //!    channel bias, `MulQuant` requant + ReLU, optionally a following
 //!    `GeluLut`) — becomes one fused step. The packed tile loops of
@@ -62,7 +62,8 @@ use t2c_tensor::{
 use crate::fixed::FixedScalar;
 use crate::intmodel::{
     add_const_requant_scalar, add_requant_scalar, concat_token_into, global_avg_pool_into,
-    max_pool_into, requant_scalar, take_token_into, IntModel, IntOp, LayerNormInt, Src,
+    max_pool_into, requant_scalar, take_token_into, IntModel, IntOp, LayerNormInt, LinearWeight,
+    Src,
 };
 use crate::lut::{GeluLut, SoftmaxLut};
 use crate::mulquant::MulQuant;
@@ -346,11 +347,7 @@ impl IntModel {
             if consumers[*i] != 1 {
                 continue;
             }
-            let mac = matches!(
-                self.nodes[*i].op,
-                IntOp::Linear { .. } | IntOp::LinearSparse { .. } | IntOp::Conv2d { .. }
-            );
-            if mac {
+            if matches!(self.nodes[*i].op, IntOp::Linear { .. } | IntOp::Conv2d { .. }) {
                 fold_dst[*i] = Some(j);
                 folded[j] = true;
             }
@@ -377,8 +374,14 @@ impl IntModel {
             })
         };
 
-        let mut steps = Vec::with_capacity(n);
         let mut fused_nodes = 0usize;
+        // A MAC node's fused epilogue, counting the nodes it absorbs.
+        let mut epilogue = |i: usize, bias: &Option<Vec<i64>>, requant, relu: &bool| {
+            let epi = Epilogue { bias: bias.clone(), requant, relu: *relu, lut: lut_of(i) };
+            fused_nodes += 1 + epi.folded();
+            epi
+        };
+        let mut steps = Vec::with_capacity(n);
         let mut steady_allocs = 0usize;
         for (i, node) in self.nodes.iter().enumerate() {
             if folded[i] {
@@ -390,50 +393,31 @@ impl IntModel {
             let step = match &node.op {
                 IntOp::Quantize { .. } => Step::InputAlias { dst },
                 IntOp::Linear { weight, bias, requant, relu, .. } => {
-                    let epi = Epilogue {
-                        bias: bias.clone(),
-                        requant: requant.clone(),
-                        relu: *relu,
-                        lut: lut_of(i),
-                    };
-                    fused_nodes += 1 + epi.folded();
-                    Step::Gemm {
-                        src: operand(0),
-                        dst,
-                        weight: PackedMat::from_weight(weight)?,
-                        epi,
-                    }
-                }
-                IntOp::LinearSparse { weight, bias, requant, relu, .. } => {
-                    weight.validate().map_err(|e| {
-                        TensorError::InvalidArgument(format!(
-                            "node {i} ({}) has an invalid sparse weight: {e}",
-                            node.name
-                        ))
-                    })?;
-                    let epi = Epilogue {
-                        bias: bias.clone(),
-                        requant: requant.clone(),
-                        relu: *relu,
-                        lut: lut_of(i),
-                    };
-                    fused_nodes += 1 + epi.folded();
-                    Step::Spmm {
-                        src: operand(0),
-                        dst,
-                        cols: weight.col_indices(),
-                        weight: weight.clone(),
-                        epi,
+                    let epi = epilogue(i, bias, requant.clone(), relu);
+                    let src = operand(0);
+                    match weight {
+                        LinearWeight::Dense(w) => {
+                            Step::Gemm { src, dst, weight: PackedMat::from_weight(w)?, epi }
+                        }
+                        LinearWeight::Sparse { mat, .. } => {
+                            mat.validate().map_err(|e| {
+                                TensorError::InvalidArgument(format!(
+                                    "node {i} ({}) has an invalid sparse weight: {e}",
+                                    node.name
+                                ))
+                            })?;
+                            Step::Spmm {
+                                src,
+                                dst,
+                                cols: mat.col_indices(),
+                                weight: mat.clone(),
+                                epi,
+                            }
+                        }
                     }
                 }
                 IntOp::Conv2d { weight, bias, spec, requant, relu, .. } => {
-                    let epi = Epilogue {
-                        bias: bias.clone(),
-                        requant: Some(requant.clone()),
-                        relu: *relu,
-                        lut: lut_of(i),
-                    };
-                    fused_nodes += 1 + epi.folded();
+                    let epi = epilogue(i, bias, Some(requant.clone()), relu);
                     let src = operand(0);
                     Step::Conv {
                         dst,
@@ -989,7 +973,7 @@ mod tests {
         m.push(
             "fc1",
             IntOp::Linear {
-                weight: w1,
+                weight: w1.into(),
                 bias: Some(vec![5; 16]),
                 requant: Some(rq),
                 relu: false,
@@ -1003,7 +987,7 @@ mod tests {
         m.push(
             "head",
             IntOp::Linear {
-                weight: w2,
+                weight: w2.into(),
                 bias: None,
                 requant: None,
                 relu: false,

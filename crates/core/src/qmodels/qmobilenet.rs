@@ -247,7 +247,7 @@ impl QuantModel for QMobileNet {
         m.push(
             "head",
             IntOp::Linear {
-                weight: weight_q,
+                weight: weight_q.into(),
                 bias,
                 requant: None,
                 relu: false,

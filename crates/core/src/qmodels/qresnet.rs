@@ -360,7 +360,7 @@ impl QuantModel for QResNet {
         m.push(
             "head",
             IntOp::Linear {
-                weight: weight_q,
+                weight: weight_q.into(),
                 bias,
                 requant: None,
                 relu: false,

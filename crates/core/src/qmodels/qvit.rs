@@ -457,7 +457,7 @@ impl QuantModel for QViT {
             Ok(m.push(
                 unit.name(),
                 IntOp::Linear {
-                    weight: fused.weight_q,
+                    weight: fused.weight_q.into(),
                     bias: None,
                     requant: Some(fused.requant),
                     relu: false,
@@ -588,7 +588,7 @@ impl QuantModel for QViT {
         m.push(
             "head",
             IntOp::Linear {
-                weight: weight_q,
+                weight: weight_q.into(),
                 bias,
                 requant: None,
                 relu: false,

@@ -16,7 +16,7 @@ use t2c_nn::Module;
 use t2c_tensor::rng::TensorRng;
 use t2c_tensor::Tensor;
 
-use crate::intmodel::{IntOp, Src};
+use crate::intmodel::{IntOp, LinearWeight, Src};
 use crate::qmodels::{QMobileNet, QResNet, QViT, QuantFactory};
 use crate::trainer::{FpTrainer, PtqPipeline, QatTrainer, TrainConfig};
 use crate::{FixedPointFormat, FuseScheme, IntModel, MulQuant, QuantConfig, QuantSpec, T2C};
@@ -106,7 +106,7 @@ pub fn tiny_mlp() -> (IntModel, Vec<usize>) {
     m.push(
         "fc1",
         IntOp::Linear {
-            weight: w1,
+            weight: w1.into(),
             bias: Some(vec![0; H]),
             requant: Some(MulQuant::from_float(
                 &[scale as f32],
@@ -123,7 +123,7 @@ pub fn tiny_mlp() -> (IntModel, Vec<usize>) {
     m.push(
         "head",
         IntOp::Linear {
-            weight: w2,
+            weight: w2.into(),
             bias: None,
             requant: None,
             relu: false,
@@ -147,7 +147,7 @@ pub fn tiny_mlp() -> (IntModel, Vec<usize>) {
 /// Panics if fc1 fails to compress — zoo consumers want loud failures.
 pub fn tiny_mlp_pruned(sparsity: f32) -> (IntModel, Vec<usize>) {
     let (mut m, dims) = tiny_mlp();
-    if let IntOp::Linear { weight, .. } = &mut m.nodes[1].op {
+    if let IntOp::Linear { weight: LinearWeight::Dense(weight), .. } = &mut m.nodes[1].op {
         prune_codes_by_magnitude(weight, sparsity);
     }
     assert_eq!(m.sparsify(0.45), 1, "fc1 must compress to the sparse layout");
@@ -163,7 +163,7 @@ pub fn tiny_mlp_pruned(sparsity: f32) -> (IntModel, Vec<usize>) {
 /// Panics if fc1 fails to compress.
 pub fn tiny_mlp_nm(n: usize, m_group: usize) -> (IntModel, Vec<usize>) {
     let (mut m, dims) = tiny_mlp();
-    if let IntOp::Linear { weight, .. } = &mut m.nodes[1].op {
+    if let IntOp::Linear { weight: LinearWeight::Dense(weight), .. } = &mut m.nodes[1].op {
         prune_codes_nm(weight, n, m_group);
     }
     assert_eq!(m.sparsify(0.45), 1, "fc1 must compress to the sparse layout");
@@ -223,14 +223,18 @@ mod tests {
         for (sparse, masked) in [
             (tiny_mlp_pruned(0.8).0, {
                 let (mut d, _) = tiny_mlp();
-                if let IntOp::Linear { weight, .. } = &mut d.nodes[1].op {
+                if let IntOp::Linear { weight: LinearWeight::Dense(weight), .. } =
+                    &mut d.nodes[1].op
+                {
                     prune_codes_by_magnitude(weight, 0.8);
                 }
                 d
             }),
             (tiny_mlp_nm(2, 4).0, {
                 let (mut d, _) = tiny_mlp();
-                if let IntOp::Linear { weight, .. } = &mut d.nodes[1].op {
+                if let IntOp::Linear { weight: LinearWeight::Dense(weight), .. } =
+                    &mut d.nodes[1].op
+                {
                     prune_codes_nm(weight, 2, 4);
                 }
                 d
@@ -246,7 +250,10 @@ mod tests {
     #[test]
     fn nm_mlp_uses_the_dedicated_layout() {
         let (m, _) = tiny_mlp_nm(2, 4);
-        let IntOp::LinearSparse { weight, declared_sparsity, .. } = &m.nodes[1].op else {
+        let IntOp::Linear {
+            weight: LinearWeight::Sparse { mat: weight, declared_sparsity }, ..
+        } = &m.nodes[1].op
+        else {
             panic!("fc1 not sparse");
         };
         assert_eq!(weight.layout_label(), "2:4");

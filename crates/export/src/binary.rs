@@ -9,7 +9,7 @@
 //! ```
 
 use bytes::{Buf, BufMut, BytesMut};
-use t2c_core::intmodel::{IntNode, IntOp, LayerNormInt, Src};
+use t2c_core::intmodel::{IntNode, IntOp, LayerNormInt, LinearWeight, Src};
 use t2c_core::lut::{GeluLut, SoftmaxLut};
 use t2c_core::{FixedPointFormat, FixedScalar, IntModel, MulQuant, QuantSpec};
 use t2c_tensor::ops::{Conv2dSpec, PoolSpec};
@@ -318,8 +318,17 @@ fn put_op(buf: &mut BytesMut, op: &IntOp) {
             put_spec(buf, *weight_spec);
         }
         IntOp::Linear { weight, bias, requant, relu, weight_spec } => {
-            buf.put_u8(2);
-            put_tensor_i32(buf, weight);
+            match weight {
+                LinearWeight::Dense(w) => {
+                    buf.put_u8(2);
+                    put_tensor_i32(buf, w);
+                }
+                LinearWeight::Sparse { mat, declared_sparsity } => {
+                    buf.put_u8(18);
+                    put_sparse_mat(buf, mat);
+                    buf.put_f32_le(*declared_sparsity);
+                }
+            }
             put_opt_bias(buf, bias);
             match requant {
                 Some(r) => {
@@ -405,21 +414,6 @@ fn put_op(buf: &mut BytesMut, op: &IntOp) {
             buf.put_f32_le(l.in_scale);
             put_spec(buf, l.out_spec);
             buf.put_f32_le(l.out_scale);
-        }
-        IntOp::LinearSparse { weight, bias, requant, relu, weight_spec, declared_sparsity } => {
-            buf.put_u8(18);
-            put_sparse_mat(buf, weight);
-            buf.put_f32_le(*declared_sparsity);
-            put_opt_bias(buf, bias);
-            match requant {
-                Some(r) => {
-                    buf.put_u8(1);
-                    put_mulquant(buf, r);
-                }
-                None => buf.put_u8(0),
-            }
-            buf.put_u8(u8::from(*relu));
-            put_spec(buf, *weight_spec);
         }
     }
 }
@@ -511,8 +505,14 @@ fn get_op(buf: &mut &[u8]) -> Result<IntOp> {
             relu: take(buf, 1)?.get_u8() != 0,
             weight_spec: get_spec(buf)?,
         },
-        2 => IntOp::Linear {
-            weight: get_tensor_i32(buf)?,
+        2 | 18 => IntOp::Linear {
+            weight: match tag {
+                2 => LinearWeight::Dense(get_tensor_i32(buf)?),
+                _ => LinearWeight::Sparse {
+                    mat: get_sparse_mat(buf)?,
+                    declared_sparsity: take(buf, 4)?.get_f32_le(),
+                },
+            },
             bias: get_opt_bias(buf)?,
             requant: match take(buf, 1)?.get_u8() {
                 0 => None,
@@ -574,18 +574,6 @@ fn get_op(buf: &mut &[u8]) -> Result<IntOp> {
             IntOp::GeluLut(GeluLut { table, in_spec, in_scale, out_spec, out_scale })
         }
         17 => IntOp::Requant { m: get_fixed(buf)?, out_spec: get_spec(buf)? },
-        18 => {
-            let weight = get_sparse_mat(buf)?;
-            let declared_sparsity = take(buf, 4)?.get_f32_le();
-            let bias = get_opt_bias(buf)?;
-            let requant = match take(buf, 1)?.get_u8() {
-                0 => None,
-                _ => Some(get_mulquant(buf)?),
-            };
-            let relu = take(buf, 1)?.get_u8() != 0;
-            let weight_spec = get_spec(buf)?;
-            IntOp::LinearSparse { weight, bias, requant, relu, weight_spec, declared_sparsity }
-        }
         other => return Err(ExportError::Malformed(format!("unknown op tag {other}"))),
     })
 }
@@ -618,7 +606,7 @@ mod tests {
         m.push(
             "head",
             IntOp::Linear {
-                weight: Tensor::from_fn(&[3, 2], |i| i as i32 - 3),
+                weight: Tensor::from_fn(&[3, 2], |i| i as i32 - 3).into(),
                 bias: None,
                 requant: None,
                 relu: false,
@@ -695,13 +683,12 @@ mod tests {
         } else {
             SparseMat::from_dense(&dense).unwrap()
         };
-        let declared = weight.sparsity();
         let mut m = IntModel::new();
         m.push("input", IntOp::Quantize { scale: 0.05, spec: QuantSpec::signed(8) }, vec![]);
         m.push(
             "fc_sparse",
-            IntOp::LinearSparse {
-                weight,
+            IntOp::Linear {
+                weight: LinearWeight::sparse(weight),
                 bias: Some(vec![3; 6]),
                 requant: Some(MulQuant::from_float(
                     &[0.01],
@@ -711,7 +698,6 @@ mod tests {
                 )),
                 relu: true,
                 weight_spec: QuantSpec::signed(4),
-                declared_sparsity: declared,
             },
             vec![Src::Node(0)],
         );
@@ -725,8 +711,14 @@ mod tests {
             let bytes = write_intmodel(&m);
             let loaded = read_intmodel(&bytes).unwrap();
             let (
-                IntOp::LinearSparse { weight: wa, declared_sparsity: sa, .. },
-                IntOp::LinearSparse { weight: wb, declared_sparsity: sb, .. },
+                IntOp::Linear {
+                    weight: LinearWeight::Sparse { mat: wa, declared_sparsity: sa },
+                    ..
+                },
+                IntOp::Linear {
+                    weight: LinearWeight::Sparse { mat: wb, declared_sparsity: sb },
+                    ..
+                },
             ) = (&m.nodes[1].op, &loaded.nodes[1].op)
             else {
                 panic!("sparse node lost its op");

@@ -4,7 +4,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use t2c_core::intmodel::IntOp;
+use t2c_core::intmodel::{IntNode, IntOp, LinearWeight};
 use t2c_core::IntModel;
 
 use crate::binary::{read_intmodel, write_intmodel};
@@ -67,6 +67,21 @@ pub struct SparseEntry {
     pub total: usize,
 }
 
+impl SparseEntry {
+    /// The record for `node`, when it holds a compressed linear weight.
+    pub fn of(node: &IntNode) -> Option<Self> {
+        let IntOp::Linear { weight: LinearWeight::Sparse { mat, .. }, .. } = &node.op else {
+            return None;
+        };
+        Some(SparseEntry {
+            node: node.name.clone(),
+            layout: mat.layout_label(),
+            stored: mat.stored(),
+            total: mat.rows * mat.cols,
+        })
+    }
+}
+
 fn sanitized(name: &str) -> String {
     name.chars().map(|c| if c.is_alphanumeric() { c } else { '_' }).collect()
 }
@@ -100,34 +115,22 @@ pub fn export_package(model: &IntModel, dir: &Path) -> Result<ExportManifest> {
     let mut manifest = String::from("# Torch2Chip deployment package\n");
     for (i, node) in model.nodes.iter().enumerate() {
         manifest.push_str(&format!("node {i}: {} ({})\n", node.name, node.op.label()));
-        let (codes, bits) = match &node.op {
-            IntOp::Conv2d { weight, weight_spec, .. }
-            | IntOp::Linear { weight, weight_spec, .. } => {
-                (weight.as_slice().to_vec(), weight_spec.bits)
-            }
-            IntOp::LinearSparse { weight, weight_spec, .. } => {
-                let entry = SparseEntry {
-                    node: node.name.clone(),
-                    layout: weight.layout_label(),
-                    stored: weight.stored(),
-                    total: weight.rows * weight.cols,
-                };
-                manifest.push_str(&format!(
-                    "  sparse: {} layout, {}/{} slots stored\n",
-                    entry.layout, entry.stored, entry.total
-                ));
-                sparse.push(entry);
-                (weight.vals.clone(), weight_spec.bits)
-            }
-            _ => continue,
-        };
+        let Some((codes, spec)) = node.op.weight_codes() else { continue };
+        let bits = spec.bits;
+        if let Some(entry) = SparseEntry::of(node) {
+            manifest.push_str(&format!(
+                "  sparse: {} layout, {}/{} slots stored\n",
+                entry.layout, entry.stored, entry.total
+            ));
+            sparse.push(entry);
+        }
         let base = format!("{i:03}_{}", sanitized(&node.name));
         let hex_path = dir.join("hex").join(format!("{base}.hex"));
-        let hex_lines = to_hex_lines(&codes, bits)?;
+        let hex_lines = to_hex_lines(codes, bits)?;
         let hex_payload = hex_lines.join("\n") + "\n";
         total += hex_payload.len();
         fs::write(&hex_path, hex_payload)?;
-        let bin_lines = to_binary_lines(&codes, bits)?;
+        let bin_lines = to_binary_lines(codes, bits)?;
         let bin_payload = bin_lines.join("\n") + "\n";
         total += bin_payload.len();
         fs::write(dir.join("bin").join(format!("{base}.mem")), bin_payload)?;
@@ -226,13 +229,10 @@ pub fn verify_package(manifest: &ExportManifest) -> Result<IntModel> {
             .iter()
             .find(|n| &n.name == name)
             .ok_or_else(|| crate::ExportError::Malformed(format!("node {name} missing")))?;
-        let (weights, signed): (&[i32], bool) = match &node.op {
-            IntOp::Conv2d { weight, weight_spec, .. }
-            | IntOp::Linear { weight, weight_spec, .. } => (weight.as_slice(), weight_spec.signed),
-            IntOp::LinearSparse { weight, weight_spec, .. } => (&weight.vals, weight_spec.signed),
-            _ => return Err(crate::ExportError::Malformed(format!("node {name} has no weights"))),
+        let Some((weights, spec)) = node.op.weight_codes() else {
+            return Err(crate::ExportError::Malformed(format!("node {name} has no weights")));
         };
-        let decoded = from_hex_lines(content.lines(), *bits, signed)?;
+        let decoded = from_hex_lines(content.lines(), *bits, spec.signed)?;
         if decoded.len() != *count || decoded != weights {
             return Err(crate::ExportError::Malformed(format!(
                 "hex image {} does not match model weights",
@@ -270,20 +270,9 @@ pub fn read_package(dir: &Path) -> Result<(IntModel, ExportManifest)> {
     let mut hex_files = Vec::new();
     let mut sparse = Vec::new();
     for (i, node) in model.nodes.iter().enumerate() {
-        let (count, bits) = match &node.op {
-            IntOp::Conv2d { weight, weight_spec, .. }
-            | IntOp::Linear { weight, weight_spec, .. } => (weight.numel(), weight_spec.bits),
-            IntOp::LinearSparse { weight, weight_spec, .. } => {
-                sparse.push(SparseEntry {
-                    node: node.name.clone(),
-                    layout: weight.layout_label(),
-                    stored: weight.stored(),
-                    total: weight.rows * weight.cols,
-                });
-                (weight.stored(), weight_spec.bits)
-            }
-            _ => continue,
-        };
+        let Some((codes, spec)) = node.op.weight_codes() else { continue };
+        let (count, bits) = (codes.len(), spec.bits);
+        sparse.extend(SparseEntry::of(node));
         let base = format!("{i:03}_{}", sanitized(&node.name));
         let hex_path = dir.join("hex").join(format!("{base}.hex"));
         if !hex_path.is_file() {

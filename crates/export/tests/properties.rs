@@ -36,7 +36,7 @@ fn wire_model() -> Vec<u8> {
     m.push(
         "head",
         IntOp::Linear {
-            weight: Tensor::from_fn(&[3, 2], |i| i as i32 - 2),
+            weight: Tensor::from_fn(&[3, 2], |i| i as i32 - 2).into(),
             bias: None,
             requant: None,
             relu: false,

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use t2c_core::intmodel::{IntNode, IntOp, Src};
+use t2c_core::intmodel::{IntNode, IntOp, LinearWeight, Src};
 use t2c_core::lut::{GeluLut, SoftmaxLut};
 use t2c_core::{FixedScalar, IntModel, MulQuant, QuantSpec};
 use t2c_tensor::{SparseError, Tensor};
@@ -518,68 +518,55 @@ impl Ctx {
             }
             IntOp::Linear { weight, bias, requant, relu, weight_spec } => {
                 let x = in0?;
-                self.linear_body(
-                    i,
-                    &name,
-                    weight,
-                    bias.as_deref(),
-                    requant.as_ref(),
-                    *relu,
-                    *weight_spec,
-                    x.range,
-                    shape,
-                )
-            }
-            IntOp::LinearSparse { weight, bias, requant, relu, weight_spec, declared_sparsity } => {
-                let x = in0?;
-                // Structural integrity first: a mask that disagrees with
-                // the payload means the skip-zero kernel computes garbage,
-                // so nothing downstream is worth analyzing.
-                if let Err(e) = weight.validate() {
-                    let (rule, hint) = match &e {
-                        SparseError::Mask(_) => (
-                            Rule::SparseMaskMismatch,
-                            "re-pack the layer with SparseMat::from_dense — mask and row \
-                             pointers must describe the stored payload exactly",
-                        ),
-                        SparseError::NmConstraint(_) => (
-                            Rule::NmConstraintViolation,
-                            "re-prune so every group of m keeps at most n survivors, then \
-                             re-pack with SparseMat::from_dense_nm",
-                        ),
-                    };
-                    self.push(Diagnostic::node(
-                        rule,
-                        Severity::Error,
-                        i,
-                        &name,
-                        format!("{e}"),
-                        hint,
-                    ));
-                    return None;
-                }
-                let actual = weight.sparsity();
-                if (actual - declared_sparsity).abs() > 0.01 {
-                    self.push(Diagnostic::node(
-                        Rule::SparsityMismatch,
-                        Severity::Error,
-                        i,
-                        &name,
-                        format!(
-                            "declares {declared_sparsity:.4} sparsity but stores {} of {} slots (actual {actual:.4})",
-                            weight.stored(),
-                            weight.rows * weight.cols
-                        ),
-                        "recompute declared_sparsity from the packed layout (IntModel::sparsify keeps them in sync)",
-                    ));
+                if let LinearWeight::Sparse { mat, declared_sparsity } = weight {
+                    // Structural integrity first: a mask that disagrees
+                    // with the payload means the skip-zero kernel computes
+                    // garbage, so nothing downstream is worth analyzing.
+                    if let Err(e) = mat.validate() {
+                        let (rule, hint) = match &e {
+                            SparseError::Mask(_) => (
+                                Rule::SparseMaskMismatch,
+                                "re-pack the layer with SparseMat::from_dense — mask and row \
+                                 pointers must describe the stored payload exactly",
+                            ),
+                            SparseError::NmConstraint(_) => (
+                                Rule::NmConstraintViolation,
+                                "re-prune so every group of m keeps at most n survivors, then \
+                                 re-pack with SparseMat::from_dense_nm",
+                            ),
+                        };
+                        self.push(Diagnostic::node(
+                            rule,
+                            Severity::Error,
+                            i,
+                            &name,
+                            format!("{e}"),
+                            hint,
+                        ));
+                        return None;
+                    }
+                    let actual = mat.sparsity();
+                    if (actual - declared_sparsity).abs() > 0.01 {
+                        self.push(Diagnostic::node(
+                            Rule::SparsityMismatch,
+                            Severity::Error,
+                            i,
+                            &name,
+                            format!(
+                                "declares {declared_sparsity:.4} sparsity but stores {} of {} slots (actual {actual:.4})",
+                                mat.stored(),
+                                mat.rows * mat.cols
+                            ),
+                            "recompute declared_sparsity from the packed layout (IntModel::sparsify keeps them in sync)",
+                        ));
+                    }
                 }
                 // The skip-zero kernel is bit-identical to the masked-dense
                 // path, so the dense expansion carries the exact intervals.
-                let dense = weight.to_dense();
                 self.linear_body(
                     i,
                     &name,
-                    &dense,
+                    &weight.to_dense(),
                     bias.as_deref(),
                     requant.as_ref(),
                     *relu,
@@ -712,9 +699,9 @@ impl Ctx {
         }
     }
 
-    /// The shared dense analysis for `Linear` and (after densifying)
-    /// `LinearSparse`: per-channel accumulator intervals, overflow proof
-    /// and requantizer checks over an input range `x`.
+    /// The dense analysis of a `Linear` weight (a compressed one after
+    /// densifying): per-channel accumulator intervals, overflow proof and
+    /// requantizer checks over an input range `x`.
     #[allow(clippy::too_many_arguments)]
     fn linear_body(
         &mut self,
@@ -1002,7 +989,7 @@ mod tests {
         linear.push(
             "head",
             IntOp::Linear {
-                weight: Tensor::zeros(&[0, 4]),
+                weight: Tensor::zeros(&[0, 4]).into(),
                 bias: None,
                 requant: None,
                 relu: false,
@@ -1102,13 +1089,12 @@ mod tests {
         m.push("input", quantize(QuantSpec::signed(4)), vec![]);
         m.push(
             "fc_sparse",
-            IntOp::LinearSparse {
-                weight,
+            IntOp::Linear {
+                weight: LinearWeight::Sparse { mat: weight, declared_sparsity: declared },
                 bias: None,
                 requant: None,
                 relu: false,
                 weight_spec: QuantSpec::signed(2),
-                declared_sparsity: declared,
             },
             vec![Src::Input],
         );

@@ -40,7 +40,7 @@
 //!
 //! DESIGN.md §6.11 derives each rule and its soundness argument.
 
-use t2c_core::intmodel::{IntNode, IntOp, Src};
+use t2c_core::intmodel::{IntNode, IntOp, LinearWeight, Src};
 use t2c_core::lut::GELU_LIPSCHITZ;
 use t2c_core::{FixedScalar, IntModel, MulQuant, QuantSpec};
 use t2c_export::{CertifiedError, ExportManifest};
@@ -613,32 +613,19 @@ impl Certifier {
                 )?;
                 Some(EState { shape, range, err, scale: None })
             }
-            IntOp::Linear { weight, bias, requant, relu, weight_spec: _ } => {
+            IntOp::Linear { weight, bias, requant, relu, .. } => {
                 let x = in0?;
-                let (range, err) = self.mac_error(
-                    i,
-                    &name,
-                    weight,
-                    shape[shape.len() - 1],
-                    x.range,
-                    x.err,
-                    bias.as_deref(),
-                    requant.as_ref(),
-                    *relu,
-                )?;
-                Some(EState { shape, range, err, scale: None })
-            }
-            IntOp::LinearSparse { weight, bias, requant, relu, .. } => {
-                let x = in0?;
-                if weight.validate().is_err() {
-                    self.uncertifiable(i, &name, "the sparse weight fails validation");
-                    return None;
+                if let LinearWeight::Sparse { mat, .. } = weight {
+                    if mat.validate().is_err() {
+                        self.uncertifiable(i, &name, "the sparse weight fails validation");
+                        return None;
+                    }
                 }
                 let (range, err) = self.mac_error(
                     i,
                     &name,
                     &weight.to_dense(),
-                    weight.rows,
+                    shape[shape.len() - 1],
                     x.range,
                     x.err,
                     bias.as_deref(),
@@ -906,7 +893,7 @@ mod tests {
         m.push(
             "hot",
             IntOp::Linear {
-                weight: Tensor::from_vec(vec![1i32 << 24; 2], &[1, 2]).unwrap(),
+                weight: Tensor::from_vec(vec![1i32 << 24; 2], &[1, 2]).unwrap().into(),
                 bias: None,
                 requant: None,
                 relu: false,
@@ -931,7 +918,7 @@ mod tests {
         m.push(
             "coarse",
             IntOp::Linear {
-                weight: Tensor::from_vec(vec![3i32; 256], &[1, 256]).unwrap(),
+                weight: Tensor::from_vec(vec![3i32; 256], &[1, 256]).unwrap().into(),
                 bias: None,
                 requant: Some(MulQuant::from_float(
                     &[0.25],

@@ -4,9 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use t2c_core::intmodel::IntOp;
 use t2c_core::IntModel;
-use t2c_export::ExportManifest;
+use t2c_export::{ExportManifest, SparseEntry};
 
 use crate::{Diagnostic, LintReport, Rule, Severity};
 
@@ -25,21 +24,13 @@ pub fn lint_package(model: &IntModel, manifest: &ExportManifest, tag: &str) -> L
     // Sparse layers contribute their *stored* slot count — the hex image
     // holds only the packed payload.
     let mut expected: BTreeMap<&str, (usize, u8)> = BTreeMap::new();
-    let mut expected_sparse: BTreeMap<&str, (String, usize, usize)> = BTreeMap::new();
+    let mut expected_sparse: BTreeMap<&str, SparseEntry> = BTreeMap::new();
     for node in &model.nodes {
-        match &node.op {
-            IntOp::Conv2d { weight, weight_spec, .. }
-            | IntOp::Linear { weight, weight_spec, .. } => {
-                expected.insert(node.name.as_str(), (weight.numel(), weight_spec.bits));
-            }
-            IntOp::LinearSparse { weight, weight_spec, .. } => {
-                expected.insert(node.name.as_str(), (weight.stored(), weight_spec.bits));
-                expected_sparse.insert(
-                    node.name.as_str(),
-                    (weight.layout_label(), weight.stored(), weight.rows * weight.cols),
-                );
-            }
-            _ => {}
+        if let Some((codes, spec)) = node.op.weight_codes() {
+            expected.insert(node.name.as_str(), (codes.len(), spec.bits));
+        }
+        if let Some(entry) = SparseEntry::of(node) {
+            expected_sparse.insert(node.name.as_str(), entry);
         }
     }
 
@@ -106,7 +97,7 @@ pub fn lint_package(model: &IntModel, manifest: &ExportManifest, tag: &str) -> L
                     .to_owned(),
                 "regenerate the package from the current model",
             )),
-            Some((layout, stored, total)) => {
+            Some(SparseEntry { layout, stored, total, .. }) => {
                 if entry.stored != stored || entry.total != total {
                     diags.push(Diagnostic::global(
                         Rule::ManifestCountMismatch,
@@ -134,7 +125,7 @@ pub fn lint_package(model: &IntModel, manifest: &ExportManifest, tag: &str) -> L
             }
         }
     }
-    for (name, (layout, stored, total)) in expected_sparse {
+    for (name, SparseEntry { layout, stored, total, .. }) in expected_sparse {
         diags.push(Diagnostic::global(
             Rule::ManifestNodeMismatch,
             Severity::Error,
@@ -153,7 +144,7 @@ pub fn lint_package(model: &IntModel, manifest: &ExportManifest, tag: &str) -> L
 mod tests {
     use super::*;
     use std::path::PathBuf;
-    use t2c_core::intmodel::Src;
+    use t2c_core::intmodel::{IntOp, LinearWeight, Src};
     use t2c_core::{FixedPointFormat, IntModel, MulQuant, QuantSpec};
     use t2c_tensor::ops::Conv2dSpec;
     use t2c_tensor::Tensor;
@@ -197,16 +188,14 @@ mod tests {
         let weight = t2c_tensor::SparseMat::from_dense(&dense).unwrap();
         let mut m = IntModel::new();
         m.push("input", IntOp::Quantize { scale: 1.0, spec: QuantSpec::signed(4) }, vec![]);
-        let declared = weight.sparsity();
         m.push(
             "fc_sparse",
-            IntOp::LinearSparse {
-                weight,
+            IntOp::Linear {
+                weight: LinearWeight::sparse(weight),
                 bias: None,
                 requant: None,
                 relu: false,
                 weight_spec: QuantSpec::signed(2),
-                declared_sparsity: declared,
             },
             vec![Src::Input],
         );

@@ -22,7 +22,7 @@ fn biased_linear(bias: i64) -> IntModel {
     m.push(
         "fc",
         IntOp::Linear {
-            weight: Tensor::from_vec(vec![1i32], &[1, 1]).unwrap(),
+            weight: Tensor::from_vec(vec![1i32], &[1, 1]).unwrap().into(),
             bias: Some(vec![bias]),
             requant: None,
             relu: false,

@@ -48,9 +48,6 @@ fn reference_run(model: &IntModel, x: &Tensor<f32>) -> Vec<f64> {
                 })
                 .collect(),
             IntOp::Linear { weight, bias, requant, relu, .. } => {
-                mac(weight, bias.as_deref(), requant.as_ref(), *relu, &v)
-            }
-            IntOp::LinearSparse { weight, bias, requant, relu, .. } => {
                 mac(&weight.to_dense(), bias.as_deref(), requant.as_ref(), *relu, &v)
             }
             other => panic!("reference interpreter does not model {}", other.label()),

@@ -569,7 +569,7 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use t2c_core::intmodel::Src;
+    use t2c_core::intmodel::{LinearWeight, Src};
     use t2c_core::zoo;
     use t2c_tensor::ops::PoolSpec;
 
@@ -631,7 +631,9 @@ mod tests {
     #[test]
     fn drifted_sparsity_declaration_is_refused_with_t2c503() {
         let (mut m, dims) = zoo::tiny_mlp_pruned(0.8);
-        if let IntOp::LinearSparse { declared_sparsity, .. } = &mut m.nodes[1].op {
+        if let IntOp::Linear { weight: LinearWeight::Sparse { declared_sparsity, .. }, .. } =
+            &mut m.nodes[1].op
+        {
             *declared_sparsity -= 0.3;
         } else {
             panic!("fc1 should be sparse");
@@ -758,7 +760,7 @@ mod tests {
         empty_head.push(
             "head",
             IntOp::Linear {
-                weight: Tensor::zeros(&[0, dims[1]]),
+                weight: Tensor::zeros(&[0, dims[1]]).into(),
                 bias: None,
                 requant: None,
                 relu: false,

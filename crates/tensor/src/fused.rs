@@ -40,7 +40,7 @@ use crate::packed::{
     conv2d_packed_epi, conv2d_packed_shape, packed_tile, PackedConv, PackedMat, MR, PANEL,
 };
 use crate::parallel::par_units;
-use crate::sparse::{spmm_rows, SparseMat, SPMM_BLOCK};
+use crate::sparse::{spmm_into, SparseMat};
 use crate::{Result, Tensor, TensorError};
 
 /// Packed GEMM with fused epilogue: `[rows, w.k]` activations (`x`, row
@@ -139,36 +139,7 @@ where
     }
     let _t = t2c_obs::Timer::scoped("kernel.spmm_fused.time_ns");
     record_fused("kernel.spmm_fused", rows, k, n_out);
-    par_units(out, n_out.max(1), |row0, run| {
-        let n = n_out.max(1);
-        let nrows = run.len() / n;
-        let mut r = 0;
-        while r + SPMM_BLOCK <= nrows {
-            for j in 0..n_out {
-                let (start, end) = (w.row_ptr[j] as usize, w.row_ptr[j + 1] as usize);
-                let acc = spmm_rows::<SPMM_BLOCK>(
-                    x,
-                    (row0 + r) * k,
-                    k,
-                    &cols[start..end],
-                    &w.vals[start..end],
-                );
-                for (t, a) in acc.iter().enumerate() {
-                    run[(r + t) * n + j] = epi(*a as i32, j);
-                }
-            }
-            r += SPMM_BLOCK;
-        }
-        while r < nrows {
-            for j in 0..n_out {
-                let (start, end) = (w.row_ptr[j] as usize, w.row_ptr[j + 1] as usize);
-                let acc =
-                    spmm_rows::<1>(x, (row0 + r) * k, k, &cols[start..end], &w.vals[start..end]);
-                run[r * n + j] = epi(acc[0] as i32, j);
-            }
-            r += 1;
-        }
-    });
+    spmm_into(x, w, cols, epi, out);
     Ok(())
 }
 

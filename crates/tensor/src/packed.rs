@@ -348,11 +348,7 @@ pub(crate) fn packed_tile(
     debug_assert!(rows <= MR && rows > 0);
     debug_assert_eq!(pdata.len(), k * PANEL);
     debug_assert_eq!(tile.len(), MR * PANEL);
-    let saturation_free = (0..rows).all(|r| {
-        let abs_sum: u64 = a[r * k..(r + 1) * k].iter().map(|v| u64::from(v.unsigned_abs())).sum();
-        u128::from(abs_sum) * u128::from(pmax) <= i32::MAX as u128
-    });
-    if saturation_free {
+    if saturation_free(a, rows, k, pmax) {
         // Every partial sum (and every single product) of every output
         // element in this tile stays within the i32 rails, so the plain
         // additions below cannot overflow and equal the clamped chain.
@@ -386,6 +382,18 @@ pub(crate) fn packed_tile(
             }
         }
     }
+}
+
+/// `true` when every one of the `rows` activation rows of length `k` at the
+/// head of `a` has `Σ|a| · wmax ≤ i32::MAX`, for a weight bound `wmax =
+/// max |w|`: then no partial sum of a product against those rows — nor any
+/// single product — can leave the `i32` range, and the per-MAC clamp never
+/// engages.
+pub(crate) fn saturation_free(a: &[i32], rows: usize, k: usize, wmax: u32) -> bool {
+    (0..rows).all(|r| {
+        let abs_sum: u64 = a[r * k..(r + 1) * k].iter().map(|v| u64::from(v.unsigned_abs())).sum();
+        u128::from(abs_sum) * u128::from(wmax) <= i32::MAX as u128
+    })
 }
 
 /// Sequential packed product into a caller-provided row-major `[m, n]`

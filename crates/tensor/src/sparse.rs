@@ -28,8 +28,12 @@
 //! contribute only zero products. Both kernels therefore apply the same
 //! sequence of effective accumulator updates, and both partition work over
 //! output rows with [`crate::parallel`], so results are bit-identical at
-//! any thread count.
+//! any thread count. The kernel shares the packed GEMM's saturation-free
+//! fast path (see [`crate::packed`]): a block of input rows whose
+//! `Σ|x| · max|w|` bound stays within the `i32` rails skips the per-MAC
+//! clamp, which provably never engages there.
 
+use crate::packed::saturation_free;
 use crate::parallel::par_units;
 use crate::{Result, Tensor, TensorError};
 use std::fmt;
@@ -421,68 +425,74 @@ pub fn matmul_sparse_i(x: &Tensor<i32>, w: &SparseMat) -> Result<Tensor<i32>> {
             ((batch * k + w.stored() + batch * w.rows) * 4) as u64,
         );
     }
-    let cols = w.col_indices();
-    let n_out = w.rows;
-    let xs = x.as_slice();
-    let mut out = vec![0i32; batch * n_out];
-    // Blocked over batch rows: each output's MAC chain is serial through
-    // the per-step clamp, so walking one slot list against SPMM_BLOCK
-    // input rows at a time keeps that many independent chains in flight
-    // (and reuses the column/value stream) without reordering any chain.
-    par_units(&mut out, n_out.max(1), |row0, run| {
+    let mut out = vec![0i32; batch * w.rows];
+    spmm_into(x.as_slice(), w, &w.col_indices(), &|acc, _| acc, &mut out);
+    Tensor::from_vec(out, &[batch, w.rows])
+}
+
+/// The skip-zero loop shared by [`matmul_sparse_i`] and
+/// [`crate::fused::spmm_fused_into`]: `x` holds `out.len() / w.rows`
+/// activation rows, `cols` is `w.col_indices()`, and `epi(acc, j)` is
+/// written for output `j` of every row.
+///
+/// Blocked over batch rows: each output's MAC chain is serial through the
+/// per-step clamp, so walking one slot list against [`SPMM_BLOCK`] input
+/// rows at a time keeps that many independent chains in flight (and
+/// reuses the column/value stream) without reordering any chain.
+pub(crate) fn spmm_into<E>(x: &[i32], w: &SparseMat, cols: &[u32], epi: &E, out: &mut [i32])
+where
+    E: Fn(i32, usize) -> i32 + Sync,
+{
+    let (n_out, k) = (w.rows, w.cols);
+    let wmax = w.vals.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+    par_units(out, n_out.max(1), |row0, run| {
         let n = n_out.max(1);
         let nrows = run.len() / n;
         let mut r = 0;
-        while r + SPMM_BLOCK <= nrows {
+        while r < nrows {
+            let xs = &x[(row0 + r) * k..];
+            let block = if r + SPMM_BLOCK <= nrows { SPMM_BLOCK } else { 1 };
+            let free = saturation_free(xs, block, k, wmax);
             for j in 0..n_out {
                 let (start, end) = (w.row_ptr[j] as usize, w.row_ptr[j + 1] as usize);
-                let acc = spmm_rows::<SPMM_BLOCK>(
-                    xs,
-                    (row0 + r) * k,
-                    k,
-                    &cols[start..end],
-                    &w.vals[start..end],
-                );
-                for (t, a) in acc.iter().enumerate() {
-                    run[(r + t) * n + j] = *a as i32;
+                let (scols, svals) = (&cols[start..end], &w.vals[start..end]);
+                if block == SPMM_BLOCK {
+                    let acc = spmm_rows::<SPMM_BLOCK>(xs, k, scols, svals, free);
+                    for (t, a) in acc.iter().enumerate() {
+                        run[(r + t) * n + j] = epi(*a as i32, j);
+                    }
+                } else {
+                    run[r * n + j] = epi(spmm_rows::<1>(xs, k, scols, svals, free)[0] as i32, j);
                 }
             }
-            r += SPMM_BLOCK;
-        }
-        while r < nrows {
-            for j in 0..n_out {
-                let (start, end) = (w.row_ptr[j] as usize, w.row_ptr[j + 1] as usize);
-                let acc =
-                    spmm_rows::<1>(xs, (row0 + r) * k, k, &cols[start..end], &w.vals[start..end]);
-                run[r * n + j] = acc[0] as i32;
-            }
-            r += 1;
+            r += block;
         }
     });
-    Tensor::from_vec(out, &[batch, n_out])
 }
 
 /// Batch-row block width for [`matmul_sparse_i`]: enough independent
 /// saturating-accumulator chains to hide the clamp's dependency latency.
 pub(crate) const SPMM_BLOCK: usize = 16;
 
-/// Accumulates one compressed weight row against `B` consecutive input
-/// rows (starting at `xs[xbase]`, stride `k`), clamping to `i32` range
-/// after every MAC — the exact dense accumulation order per output.
+/// Accumulates one compressed weight row against the `B` consecutive
+/// input rows at the head of `xs` (stride `k`), clamping to `i32` range
+/// after every MAC — the exact dense accumulation order per output. When
+/// `free` (the rows' [`saturation_free`] bound) proves the clamp can never
+/// engage, the plain sums are the same values without the clamp chain.
 #[inline]
-pub(crate) fn spmm_rows<const B: usize>(
+fn spmm_rows<const B: usize>(
     xs: &[i32],
-    xbase: usize,
     k: usize,
     scols: &[u32],
     svals: &[i32],
+    free: bool,
 ) -> [i64; B] {
     let mut acc = [0i64; B];
     for (&c, &v) in scols.iter().zip(svals) {
         let (c, v) = (c as usize, i64::from(v));
         for (t, a) in acc.iter_mut().enumerate() {
-            let prod = i64::from(xs[xbase + t * k + c]) * v;
-            *a = (*a + prod).clamp(i64::from(i32::MIN), i64::from(i32::MAX));
+            let sum = *a + i64::from(xs[t * k + c]) * v;
+            *a = if free { sum } else { sum.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) };
         }
     }
     acc
@@ -591,6 +601,28 @@ mod tests {
         let sp = SparseMat::from_dense(&w).unwrap();
         let got = matmul_sparse_i(&x, &sp).unwrap();
         assert_eq!(got.as_slice(), dense_ref(&x, &w).as_slice());
+    }
+
+    #[test]
+    fn bounded_and_saturating_row_blocks_match_dense() {
+        // 40 rows: two 16-row blocks and an 8-row tail. Rows 20 and 37
+        // drive the accumulators through the rails, so the second block
+        // and row 37 take the clamped chain; the first block and the other
+        // tail rows take the unclamped one.
+        let w = Tensor::from_fn(&[5, 12], |i| if i % 3 == 0 { 0 } else { (i as i32 % 5) - 1 });
+        let x = Tensor::from_fn(&[40, 12], |i| match i / 12 {
+            20 | 37 => i32::MAX / 2 - i as i32,
+            _ => (i as i32 % 9) - 4,
+        });
+        let expect = dense_ref(&x, &w);
+        assert!(expect.as_slice().iter().any(|&v| v == i32::MAX || v == i32::MIN));
+        for sp in [SparseMat::from_dense(&w).unwrap(), SparseMat::from_dense_nm(&w, 2, 3).unwrap()]
+        {
+            for threads in [1, 3] {
+                let got = with_threads(threads, || matmul_sparse_i(&x, &sp).unwrap());
+                assert_eq!(got.as_slice(), expect.as_slice(), "threads={threads}");
+            }
+        }
     }
 
     #[test]

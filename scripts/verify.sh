@@ -18,6 +18,9 @@
 #      finite), round-trips each certificate through the package
 #      manifest (T2C605 cross-check) and emits a schema-valid
 #      error_bound.json
+#   6c. report drift: both regenerated reports carry no timestamps, so
+#      they must match the committed copies byte for byte (git diff);
+#      an unintended change to an op label or an analysis fails here
 #   7. serve_smoke: t2c-serve --smoke binds an ephemeral port and
 #      round-trips one request per zoo model over TCP against direct
 #      execution, then the loadgen sweep must demonstrate the batching
@@ -89,6 +92,10 @@ for key in version model per_layer end_to_end_steps tolerance pass; do
     grep -q "\"$key\"" "$eb_report" || { echo "missing key '$key' in $eb_report"; exit 1; }
 done
 grep -q '"pass": true' "$eb_report" || { echo "$eb_report did not pass"; exit 1; }
+
+echo "==> lint and certificate reports match the committed copies"
+git diff --exit-code -- "$lint_report" "$eb_report" \
+    || { echo "t2c-check reports changed; commit them if the change is intended"; exit 1; }
 
 echo "==> serve smoke (t2c-serve --smoke, ephemeral port)"
 cargo run --release -q -p t2c-serve --bin t2c-serve -- --smoke

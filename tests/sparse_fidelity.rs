@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use t2c_autograd::Param;
-use t2c_core::intmodel::{IntOp, Src};
+use t2c_core::intmodel::{IntOp, LinearWeight, Src};
 use t2c_core::{IntModel, QuantSpec};
 use t2c_sparse::{MagnitudePruner, NmPruner, Pruner};
 use t2c_tensor::{SparseMat, Tensor};
@@ -36,7 +36,7 @@ fn linear_model(codes: Vec<i32>) -> IntModel {
     m.push(
         "fc",
         IntOp::Linear {
-            weight: Tensor::from_vec(codes, &[ROWS, COLS]).unwrap(),
+            weight: Tensor::from_vec(codes, &[ROWS, COLS]).unwrap().into(),
             bias: None,
             requant: None,
             relu: false,
@@ -67,7 +67,9 @@ proptest! {
             let dense = linear_model(codes.clone());
             let mut sparse = dense.clone();
             prop_assert_eq!(sparse.sparsify(0.0), 1, "fc must compress at target {}", target);
-            let IntOp::LinearSparse { weight, declared_sparsity, .. } = &sparse.nodes[1].op else {
+            let IntOp::Linear {
+                weight: LinearWeight::Sparse { mat: weight, declared_sparsity }, ..
+            } = &sparse.nodes[1].op else {
                 panic!("fc did not convert to the sparse layout");
             };
             prop_assert!(weight.validate().is_ok());
@@ -110,14 +112,12 @@ proptest! {
 
             let dense = linear_model(codes);
             let mut sparse = dense.clone();
-            let declared_sparsity = nm.sparsity();
-            sparse.nodes[1].op = IntOp::LinearSparse {
-                weight: nm,
+            sparse.nodes[1].op = IntOp::Linear {
+                weight: LinearWeight::sparse(nm),
                 bias: None,
                 requant: None,
                 relu: false,
                 weight_spec: QuantSpec::signed(4),
-                declared_sparsity,
             };
             let yd = dense.run(&x).unwrap();
             let ys = sparse.run(&x).unwrap();

@@ -7,9 +7,10 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use t2c_accel::{Accelerator, AcceleratorConfig};
-use t2c_core::intmodel::{IntOp, LayerNormInt, Src};
+use t2c_core::intmodel::{IntOp, LayerNormInt, LinearWeight, Src};
 use t2c_core::lut::{GeluLut, SoftmaxLut};
 use t2c_core::{zoo, FixedPointFormat, IntModel, MulQuant, QuantSpec};
+use t2c_export::{fnv1a64, write_intmodel};
 use t2c_lint::{certify_model, lint_model, ErrorBoundConfig, Severity};
 use t2c_tensor::ops::{Conv2dSpec, PoolSpec};
 use t2c_tensor::rng::TensorRng;
@@ -97,6 +98,33 @@ fn accel_trace_totals_are_pinned() {
         let got = [trace.total_macs(), trace.total_cycles(), trace.total_traffic()];
         assert_eq!(got, want, "{tag} {config} batch {batch}: [macs, cycles, traffic]");
     }
+}
+
+#[test]
+fn export_checksums_are_pinned() {
+    // model → fnv1a64 trailer of its `.t2cm` bytes, recorded while dense
+    // and compressed linear weights were still two separate op variants.
+    #[rustfmt::skip]
+    let pins: [(&str, u64); 6] = [
+        ("mobilenet-ptq", 0xb9b5_f9b9_674b_be7f),
+        ("resnet-qat", 0x5ebe_67e2_881b_8b1e),
+        ("vit-ptq", 0x2171_df70_3586_7548),
+        ("mlp-dense", 0x7c4e_e644_9666_d679),
+        ("mlp-pruned-0.8", 0x5112_aa6c_1ff8_c908),
+        ("mlp-nm-2of4", 0x2ef1_9512_7822_0213),
+    ];
+    let got: Vec<(String, u64)> = models()
+        .iter()
+        .map(|(tag, model, _)| {
+            let bytes = write_intmodel(model);
+            let (payload, trailer) = bytes.split_at(bytes.len() - 8);
+            let trailer = u64::from_le_bytes(trailer.try_into().unwrap());
+            assert_eq!(trailer, fnv1a64(payload), "{tag}: trailer is the payload checksum");
+            (tag.clone(), trailer)
+        })
+        .collect();
+    let want: Vec<(String, u64)> = pins.iter().map(|(t, c)| (t.to_string(), *c)).collect();
+    assert_eq!(got, want, "[(model, .t2cm trailer)]");
 }
 
 /// Draws for one random graph.
@@ -205,22 +233,28 @@ impl Draw {
             }
             2 | 3 => {
                 let (out_f, in_f) = (self.dim(), self.pick(last));
-                let weight = self.codes(&[out_f, in_f]);
+                let mut codes = self.codes(&[out_f, in_f]);
                 let bias = self.bias(out_f);
                 let requant = (!self.one_in(3)).then(|| self.requant(out_f));
                 let relu = requant.is_some() && self.one_in(2);
                 let weight_spec = QuantSpec::signed(4);
-                match SparseMat::from_dense(&weight) {
-                    Ok(sparse) if self.one_in(2) => IntOp::LinearSparse {
-                        declared_sparsity: sparse.sparsity(),
-                        weight: sparse,
-                        bias,
-                        requant,
-                        relu,
-                        weight_spec,
-                    },
-                    _ => IntOp::Linear { weight, bias, requant, relu, weight_spec },
+                // Dense half the time, else compressed: a bitmask over the
+                // drawn codes, or 1:4 / 2:4 over codes pruned to fit.
+                let layout = self.below(6) as u8;
+                if layout > 3 {
+                    for (i, v) in codes.as_mut_slice().iter_mut().enumerate() {
+                        if i % in_f.max(1) % 4 >= usize::from(layout - 3) {
+                            *v = 0;
+                        }
+                    }
                 }
+                let sparse = match layout {
+                    0..=2 => None,
+                    3 => SparseMat::from_dense(&codes).ok(),
+                    _ => SparseMat::from_dense_nm(&codes, layout - 3, 4).ok(),
+                };
+                let weight = sparse.map_or_else(|| codes.into(), LinearWeight::sparse);
+                IntOp::Linear { weight, bias, requant, relu, weight_spec }
             }
             4 => IntOp::AddRequant {
                 m_a: self.fixed(),
@@ -373,13 +407,23 @@ fn random_graphs_reach_every_op_kind() {
     // also builds well-formed graphs: each op kind must appear in some
     // graph that the static walk accepts and that compiles and traces.
     let mut reached = std::collections::BTreeSet::new();
+    let mut layouts = std::collections::BTreeSet::new();
     for seed in 0..1000u64 {
         let (model, input) = random_case(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let traced =
             Accelerator::new(model.clone(), AcceleratorConfig::sparse16x16()).trace(&input).is_ok();
         if traced && model.compile(&input).is_ok() {
             reached.extend(model.nodes.iter().map(|n| n.op.label()));
+            layouts.extend(model.nodes.iter().filter_map(|n| match &n.op {
+                IntOp::Linear { weight, .. } => Some(weight.layout_label()),
+                _ => None,
+            }));
         }
     }
     assert_eq!(reached.len(), 19, "op kinds reached: {reached:?}");
+    assert_eq!(
+        layouts.into_iter().collect::<Vec<_>>(),
+        ["1:4", "2:4", "bitmask", "dense"],
+        "linear weight layouts reached"
+    );
 }
