@@ -1,30 +1,35 @@
-//! Compiled execution plans: fused GEMM epilogues + arena inference.
+//! Compiled execution plans: fused MAC epilogues + arena inference.
 //!
 //! [`IntModel::compile`] lowers the interpreted node graph into an
 //! [`ExecPlan`] — a flat step list that the serving hot path replays with
-//! **zero steady-state heap allocations** (convolution and batched-matmul
-//! steps excepted; see [`ExecPlan::steady_allocs`]):
+//! **zero steady-state heap allocations** on one kernel thread:
 //!
 //! 1. **Fusion.** Every `Linear` (dense or sparse) / `Conv2d` node — which
 //!    the reference interpreter runs as up to four full-tensor passes (MAC,
 //!    channel bias, `MulQuant` requant + ReLU, optionally a following
-//!    `GeluLut`) — becomes one fused step. The packed tile loops of
+//!    `GeluLut`) — becomes one fused step. The kernels of
 //!    `t2c_tensor::fused` apply the whole epilogue per output element as
-//!    it leaves the accumulator tile, so the wide `i32` intermediate never
-//!    materializes. Dense weights are packed **once, at compile time** —
-//!    the panel layout belongs to the plan, and the graph keeps its plain
-//!    dense weights (the interpreter's dense path transposes the weight on
-//!    every call); sparse column indices are likewise precomputed. A
-//!    `GeluLut` node is folded into its producer when it is the producer's
-//!    sole consumer.
+//!    it leaves the accumulator, so the wide `i32` intermediate never
+//!    materializes. Dense linear weights are packed into GEMM panels
+//!    **once, at compile time** — the panel layout belongs to the plan,
+//!    and the graph keeps its plain dense weights (the interpreter's dense
+//!    path transposes the weight on every call); sparse column indices are
+//!    likewise precomputed. Convolutions keep the graph's `[oc, cg·kh·kw]`
+//!    rows and run row by row in the interpreter's orientation (each
+//!    channel row against the group's im2col patch block), with per-channel
+//!    `Σ|w|` bounds computed at compile time. A `GeluLut` node is folded
+//!    into its producer when it is the producer's sole consumer.
 //! 2. **Liveness + arena.** A last-use pass computes, per node, the step
 //!    after which its output is dead; a greedy best-fit allocator then
 //!    assigns every output an offset in one shared scratch arena,
-//!    returning freed intervals to a coalescing free list. The arena is
-//!    sized at compile time ([`ExecPlan::arena_bytes`] per sample) and
-//!    reused across batches — [`Arena`] grows monotonically and never
-//!    shrinks, so steady-state inference touches the allocator only when
-//!    a larger batch arrives.
+//!    returning freed intervals to a coalescing free list. Behind the node
+//!    slots the arena reserves one im2col patch block — the largest any
+//!    conv step needs, independent of the batch. The arena is sized at
+//!    compile time ([`ExecPlan::arena_bytes`] per sample plus
+//!    [`ExecPlan::scratch_bytes`]) and reused across batches — [`Arena`]
+//!    grows monotonically and never shrinks, so steady-state inference
+//!    touches the allocator only when a larger batch arrives. Batched
+//!    matmuls accumulate straight into their destination slot.
 //!
 //! # Bit-identity
 //!
@@ -50,12 +55,12 @@
 //! operating on the `IntModel`, so their verdicts apply to the plan
 //! verbatim.
 //!
-//! When profiling is enabled, compiling emits the `plan.arena_bytes`,
-//! `plan.allocs_steady` and `plan.fused_nodes` gauges.
+//! When profiling is enabled, compiling emits the `plan.arena_bytes` and
+//! `plan.fused_nodes` gauges.
 
-use t2c_tensor::ops::{Conv2dSpec, PoolSpec};
+use t2c_tensor::ops::{bmm_i32_sat_into, Conv2dSpec, PoolSpec};
 use t2c_tensor::{
-    conv2d_fused_into, gemm_fused_into, spmm_fused_into, PackedConv, PackedMat, SparseMat, Tensor,
+    conv2d_fused_into, gemm_fused_into, spmm_fused_into, ConvWeight, PackedMat, SparseMat, Tensor,
     TensorError,
 };
 
@@ -71,8 +76,9 @@ use crate::qconfig::QuantSpec;
 use crate::Result;
 
 /// A reusable scratch buffer for plan execution. One arena per worker: it
-/// grows monotonically to the largest `arena_words × batch` seen and is
-/// reused across batches, so steady-state inference allocates nothing.
+/// grows monotonically to the largest `arena_words × batch + scratch_words`
+/// seen and is reused across batches, so steady-state inference allocates
+/// nothing.
 #[derive(Debug, Default)]
 pub struct Arena {
     buf: Vec<i32>,
@@ -170,11 +176,12 @@ enum Step {
     Gemm { src: Src, dst: usize, weight: PackedMat, epi: Epilogue },
     /// Fused sparse linear: skip-zero matmul + epilogue.
     Spmm { src: Src, dst: usize, weight: SparseMat, cols: Vec<u32>, epi: Epilogue },
-    /// Fused convolution: packed conv + epilogue (allocates im2col).
+    /// Fused convolution: row-oriented conv + epilogue, unrolling into
+    /// the arena's patch scratch.
     Conv {
         src: Src,
         dst: usize,
-        weight: PackedConv,
+        weight: ConvWeight,
         spec: Conv2dSpec,
         epi: Epilogue,
         in_dims: [usize; 4],
@@ -213,8 +220,8 @@ enum Step {
     Softmax { src: Src, dst: usize, lut: SoftmaxLut, cols: usize },
     /// Standalone LUT GELU (one that could not be folded).
     Gelu { src: Src, dst: usize, lut: GeluLut },
-    /// Batched-matmul fallback — reuses the interpreter's tensor kernel
-    /// (allocates; counted in [`ExecPlan::steady_allocs`]).
+    /// Batched matmul accumulated into the destination slot, then
+    /// requantized in place.
     Bmm {
         a: Src,
         b: Src,
@@ -291,7 +298,7 @@ pub struct ExecPlan {
     out_node: usize,
     in_quant: Option<(f32, QuantSpec)>,
     fused_nodes: usize,
-    steady_allocs: usize,
+    scratch_words: usize,
 }
 
 impl IntModel {
@@ -382,7 +389,7 @@ impl IntModel {
             epi
         };
         let mut steps = Vec::with_capacity(n);
-        let mut steady_allocs = 0usize;
+        let mut scratch_words = 0usize;
         for (i, node) in self.nodes.iter().enumerate() {
             if folded[i] {
                 continue;
@@ -419,14 +426,10 @@ impl IntModel {
                 IntOp::Conv2d { weight, bias, spec, requant, relu, .. } => {
                     let epi = epilogue(i, bias, Some(requant.clone()), relu);
                     let src = operand(0);
-                    Step::Conv {
-                        dst,
-                        weight: PackedConv::from_weight(weight, spec.groups)?,
-                        spec: *spec,
-                        epi,
-                        in_dims: geo4(&src),
-                        src,
-                    }
+                    let (weight, in_dims) = (ConvWeight::new(weight, spec.groups)?, geo4(&src));
+                    let need = weight.scratch_len(in_dims[2], in_dims[3], *spec)?;
+                    scratch_words = scratch_words.max(need);
+                    Step::Conv { dst, weight, spec: *spec, epi, in_dims, src }
                 }
                 IntOp::AddRequant { m_a, m_b, out_spec, relu } => Step::AddRequant {
                     a: operand(0),
@@ -506,10 +509,6 @@ impl IntModel {
                 }
                 IntOp::GeluLut(lut) => Step::Gelu { src: operand(0), dst, lut: lut.clone() },
             };
-            match &step {
-                Step::Conv { .. } | Step::Bmm { .. } => steady_allocs += 1,
-                _ => {}
-            }
             steps.push(step);
         }
 
@@ -561,7 +560,6 @@ impl IntModel {
         };
         if t2c_obs::enabled() {
             t2c_obs::gauge_set("plan.arena_bytes", (arena_words * 4) as f64);
-            t2c_obs::gauge_set("plan.allocs_steady", steady_allocs as f64);
             t2c_obs::gauge_set("plan.fused_nodes", fused_nodes as f64);
         }
         Ok(ExecPlan {
@@ -573,7 +571,7 @@ impl IntModel {
             out_node,
             in_quant,
             fused_nodes,
-            steady_allocs,
+            scratch_words,
         })
     }
 }
@@ -633,17 +631,17 @@ impl ExecPlan {
         self.fused_nodes
     }
 
-    /// Number of steps that still heap-allocate per execution
-    /// (convolutions build their im2col patch matrix, batched matmuls run
-    /// the tensor kernel); 0 for pure MLP/GEMM pipelines.
-    pub fn steady_allocs(&self) -> usize {
-        self.steady_allocs
-    }
-
-    /// Peak arena footprint per sample, in bytes. The runtime arena holds
-    /// `arena_bytes() × batch`.
+    /// Peak footprint of the node slots per sample, in bytes. The runtime
+    /// arena holds `arena_bytes() × batch + scratch_bytes()`.
     pub fn arena_bytes(&self) -> usize {
         self.arena_words * 4
+    }
+
+    /// The conv patch scratch the arena reserves behind the node slots, in
+    /// bytes: the largest im2col block any conv step unrolls, whatever the
+    /// batch (0 when no conv step unrolls).
+    pub fn scratch_bytes(&self) -> usize {
+        self.scratch_words * 4
     }
 
     /// The batch-1 input shape the plan was compiled for.
@@ -692,9 +690,10 @@ impl ExecPlan {
     ) -> Result<()> {
         let bs = self.batch_of(x.dims())?;
         let xs = x.as_slice();
-        let buf = arena.ensure(self.arena_words * bs);
+        let words = self.arena_words * bs;
+        let (buf, scratch) = arena.ensure(words + self.scratch_words).split_at_mut(words);
         for step in &self.steps {
-            exec_step(step, &self.slots, xs, bs, buf)?;
+            exec_step(step, &self.slots, xs, bs, buf, scratch)?;
         }
         out.clear();
         let slot = self.slots[self.out_node];
@@ -793,8 +792,16 @@ fn scale3(mut d: [usize; 3], bs: usize) -> [usize; 3] {
 }
 
 /// Executes one step against the arena: the destination interval is
-/// split out of `buf` mutably, operands resolve through [`read_slice`].
-fn exec_step(step: &Step, slots: &[Slot], xs: &[i32], bs: usize, buf: &mut [i32]) -> Result<()> {
+/// split out of `buf` mutably, operands resolve through [`read_slice`],
+/// and conv steps unroll their patches into `scratch`.
+fn exec_step(
+    step: &Step,
+    slots: &[Slot],
+    xs: &[i32],
+    bs: usize,
+    buf: &mut [i32],
+    scratch: &mut [i32],
+) -> Result<()> {
     if matches!(step, Step::InputAlias { .. }) {
         return Ok(()); // the input itself is the value
     }
@@ -818,12 +825,9 @@ fn exec_step(step: &Step, slots: &[Slot], xs: &[i32], bs: usize, buf: &mut [i32]
             spmm_fused_into(x, rows, weight, cols, &|acc, ch| epi.apply(acc, ch), dbuf)?;
         }
         Step::Conv { src, weight, spec, epi, in_dims, .. } => {
-            // The conv kernel's im2col is tensor-based; this copy (plus
-            // the kernel's internal scratch) is what `steady_allocs`
-            // reports.
-            let x = rd(*src)?;
-            let xt = Tensor::from_vec(x.to_vec(), &scale4(*in_dims, bs))?;
-            conv2d_fused_into(&xt, weight, *spec, &|acc, ch| epi.apply(acc, ch), dbuf)?;
+            let epi = |acc, ch| epi.apply(acc, ch);
+            let x_dims = scale4(*in_dims, bs);
+            conv2d_fused_into(rd(*src)?, x_dims, weight, *spec, &epi, scratch, dbuf)?;
         }
         Step::AddRequant { a, b, m_a, m_b, out_spec, relu, .. } => {
             let (av, bv) = (rd(*a)?, rd(*b)?);
@@ -903,17 +907,11 @@ fn exec_step(step: &Step, slots: &[Slot], xs: &[i32], bs: usize, buf: &mut [i32]
             }
         }
         Step::Bmm { a, b, transpose_rhs, m, out_spec, a_dims, b_dims, .. } => {
-            let (av, bv) = (rd(*a)?, rd(*b)?);
-            let at = Tensor::from_vec(av.to_vec(), &scale3(*a_dims, bs))?;
-            let bt = Tensor::from_vec(bv.to_vec(), &scale3(*b_dims, bs))?;
-            let acc = if *transpose_rhs {
-                let p = bt.permute(&[0, 2, 1])?;
-                at.bmm_i(&p)?
-            } else {
-                at.bmm_i(&bt)?
-            };
-            for (o, &v) in dbuf.iter_mut().zip(acc.as_slice()) {
-                *o = requant_scalar(v, *m, *out_spec, false);
+            let [batches, rows, k] = scale3(*a_dims, bs);
+            let n = if *transpose_rhs { b_dims[1] } else { b_dims[2] };
+            bmm_i32_sat_into(rd(*a)?, rd(*b)?, [batches, rows, k, n], *transpose_rhs, dbuf)?;
+            for o in dbuf.iter_mut() {
+                *o = requant_scalar(*o, *m, *out_spec, false);
             }
         }
     }
@@ -1004,7 +1002,6 @@ mod tests {
         let plan = model.compile(&dims).unwrap();
         assert_eq!(plan.steps.len(), model.len() - 1, "gelu step must disappear");
         assert_eq!(plan.fused_nodes(), 3, "fc1 + folded gelu + head");
-        assert_eq!(plan.steady_allocs(), 0);
         let x = float_batch(&[2, 12], 3);
         let want = model.run(&x).unwrap();
         let got = plan.run(&x, &mut Arena::new()).unwrap();
@@ -1074,6 +1071,36 @@ mod tests {
         plan.run_quantized_into(&x, &mut arena, &mut out).unwrap();
         assert_eq!(out, first, "stale arena contents must not leak into a rerun");
         assert_eq!(arena.capacity_bytes(), cap, "steady-state reruns must not regrow the arena");
+    }
+
+    /// quantize → padded 3×3 conv → 1×1 conv: the 3×3 conv unrolls its
+    /// patches into scratch the arena reserves once, whatever the batch;
+    /// the 1×1 conv reads its input in place and needs none.
+    #[test]
+    fn conv_patch_scratch_is_reserved_once_whatever_the_batch() {
+        let spec8 = QuantSpec::signed(8);
+        let rq = MulQuant::from_float(&[0.01], &[0.0], FixedPointFormat::int16_frac12(), spec8);
+        let conv = |oc: usize, c: usize, k: usize, pad: usize, relu: bool| IntOp::Conv2d {
+            weight: Tensor::from_fn(&[oc, c, k, k], |i| (i as i32 % 7) - 3),
+            bias: Some(vec![3; oc]),
+            spec: Conv2dSpec::new(1, pad),
+            requant: rq.clone(),
+            relu,
+            weight_spec: QuantSpec::signed(3),
+        };
+        let mut m = IntModel::new();
+        m.push("input", IntOp::Quantize { scale: 0.05, spec: spec8 }, vec![]);
+        m.push("conv3", conv(4, 2, 3, 1, true), vec![Src::Node(0)]);
+        m.push("conv1", conv(6, 4, 1, 0, false), vec![Src::Node(1)]);
+        let plan = m.compile(&[1, 2, 5, 5]).unwrap();
+        assert_eq!(plan.scratch_bytes(), (2 * 3 * 3) * (5 * 5) * 4, "one conv3 patch block");
+        let mut arena = Arena::new();
+        for batch in [1usize, 3] {
+            let x = float_batch(&[batch, 2, 5, 5], batch);
+            let got = plan.run(&x, &mut arena).unwrap();
+            assert_eq!(got.as_slice(), m.run(&x).unwrap().as_slice(), "batch {batch}");
+        }
+        assert_eq!(arena.capacity_bytes(), plan.arena_bytes() * 3 + plan.scratch_bytes());
     }
 
     #[test]

@@ -695,7 +695,6 @@ mod tests {
         let (m, dims) = zoo::tiny_mlp();
         let admitted = reg.admit("mlp", m, &dims).unwrap();
         let plan = admitted.plan().expect("tiny_mlp must compile");
-        assert_eq!(plan.steady_allocs(), 0, "pure GEMM pipeline");
         let x = Tensor::from_fn(&[3usize, 256], |i| (i as f32) * 0.017 - 0.9);
         let codes = admitted.quantize(&x);
         let want = admitted.model().run_quantized(&codes).unwrap();

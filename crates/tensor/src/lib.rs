@@ -44,8 +44,8 @@ pub mod rng;
 pub mod sparse;
 
 pub use error::TensorError;
-pub use fused::{conv2d_fused_into, gemm_fused_into, spmm_fused_into};
-pub use packed::{conv2d_i32_packed, matmul_i32_sat_packed, PackedConv, PackedMat};
+pub use fused::{conv2d_fused_into, gemm_fused_into, spmm_fused_into, ConvWeight};
+pub use packed::{matmul_i32_sat_packed, PackedMat};
 pub use parallel::{num_threads, set_num_threads, with_threads};
 pub use shape::Shape;
 pub use sparse::{matmul_sparse_i, SparseEncoding, SparseError, SparseMat};

@@ -144,24 +144,8 @@ impl Tensor<i32> {
                 op: "bmm_i",
             });
         }
-        let _t = t2c_obs::Timer::scoped("kernel.bmm_i32.time_ns");
-        record_matmul("kernel.bmm_i32", b, m, k, n, 4);
         let mut out = vec![0i32; b * m * n];
-        let lhs = self.as_slice();
-        let rhs = other.as_slice();
-        par_units(&mut out, m * n, |b0, run| {
-            for (bi, obatch) in run.chunks_mut(m * n).enumerate() {
-                let i = b0 + bi;
-                matmul_i32_sat_into(
-                    &lhs[i * m * k..(i + 1) * m * k],
-                    &rhs[i * k * n..(i + 1) * k * n],
-                    obatch,
-                    m,
-                    k,
-                    n,
-                );
-            }
-        });
+        bmm_i32_sat_into(self.as_slice(), other.as_slice(), [b, m, k, n], false, &mut out)?;
         Tensor::from_vec(out, &[b, m, n])
     }
 }
@@ -242,6 +226,68 @@ pub(crate) fn matmul_i32_sat_into(
             }
         }
     }
+}
+
+/// Batched saturating integer product into a caller-provided buffer —
+/// the kernel behind [`Tensor::bmm_i`], which compiled plans run straight
+/// into their arena. `a` is `[batches, m, k]`; `b` is `[batches, k, n]`,
+/// or `[batches, n, k]` with `transpose_rhs` (multiplied as its
+/// per-batch transpose); `out` receives `[batches, m, n]` (prior contents
+/// are ignored).
+///
+/// Every output element accumulates `a[i, p] · b[p, j]` with `p`
+/// ascending, the `i64 → i32` clamp after every MAC and zero activations
+/// skipped, so the transposed form — dot products over the rows of `b` —
+/// is bit-identical to permuting `b` first. Parallel over batches;
+/// performs no heap allocation when the resolved worker count is 1.
+///
+/// # Errors
+///
+/// Returns an error if `a`, `b` or `out` disagree with the dimensions.
+pub fn bmm_i32_sat_into(
+    a: &[i32],
+    b: &[i32],
+    [batches, m, k, n]: [usize; 4],
+    transpose_rhs: bool,
+    out: &mut [i32],
+) -> Result<()> {
+    if a.len() != batches * m * k || b.len() != batches * k * n || out.len() != batches * m * n {
+        return Err(TensorError::InvalidArgument(format!(
+            "bmm_i32_sat_into: {} / {} / {} values do not form [{batches}, {m}, {k}] x \
+             [{batches}, {k}, {n}] -> [{batches}, {m}, {n}]",
+            a.len(),
+            b.len(),
+            out.len()
+        )));
+    }
+    let _t = t2c_obs::Timer::scoped("kernel.bmm_i32.time_ns");
+    record_matmul("kernel.bmm_i32", batches, m, k, n, 4);
+    if out.is_empty() {
+        return Ok(());
+    }
+    par_units(out, m * n, |b0, run| {
+        for (bi, obatch) in run.chunks_mut(m * n).enumerate() {
+            let i = b0 + bi;
+            let (lhs, rhs) = (&a[i * m * k..(i + 1) * m * k], &b[i * k * n..(i + 1) * k * n]);
+            if !transpose_rhs {
+                obatch.fill(0);
+                matmul_i32_sat_into(lhs, rhs, obatch, m, k, n);
+                continue;
+            }
+            for (e, o) in obatch.iter_mut().enumerate() {
+                let (arow, brow) = (&lhs[(e / n) * k..][..k], &rhs[(e % n) * k..][..k]);
+                let mut acc = 0i32;
+                for (&av, &bv) in arow.iter().zip(brow) {
+                    if av != 0 {
+                        let v = i64::from(acc) + i64::from(av) * i64::from(bv);
+                        acc = v.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
+                    }
+                }
+                *o = acc;
+            }
+        }
+    });
+    Ok(())
 }
 
 #[cfg(test)]
@@ -325,6 +371,47 @@ mod tests {
             let cb = ab.matmul(&bb).unwrap();
             assert_eq!(c.index_axis0(batch).unwrap().as_slice(), cb.as_slice());
         }
+    }
+
+    #[test]
+    fn bmm_into_matches_per_batch_matmul_plain_and_transposed() {
+        use crate::parallel::with_threads;
+        for (bs, m, k, n) in [(1, 1, 1, 1), (3, 5, 7, 4), (4, 9, 16, 9)] {
+            // int8 range, and magnitudes that drive the clamp mid-chain.
+            for span in [255i64, 1 << 30] {
+                let draw = |len: usize, salt: usize| {
+                    (0..len)
+                        .map(move |i| ((i * 2_654_435_761 + salt) as i64 % span - span / 2) as i32)
+                };
+                let x = Tensor::from_vec(draw(bs * m * k, 3).collect(), &[bs, m, k]).unwrap();
+                let y = Tensor::from_vec(draw(bs * k * n, 5).collect(), &[bs, k, n]).unwrap();
+                let want: Vec<i32> = (0..bs)
+                    .flat_map(|i| {
+                        let (xb, yb) = (x.index_axis0(i).unwrap(), y.index_axis0(i).unwrap());
+                        xb.matmul_i(&yb).unwrap().as_slice().to_vec()
+                    })
+                    .collect();
+                let yt = y.permute(&[0, 2, 1]).unwrap();
+                for (rhs, transpose) in [(&y, false), (&yt, true)] {
+                    for threads in [1, 2] {
+                        let mut out = vec![-1i32; bs * m * n];
+                        with_threads(threads, || {
+                            let dims = [bs, m, k, n];
+                            bmm_i32_sat_into(
+                                x.as_slice(),
+                                rhs.as_slice(),
+                                dims,
+                                transpose,
+                                &mut out,
+                            )
+                        })
+                        .unwrap();
+                        assert_eq!(out, want, "{bs}x{m}x{k}x{n} transpose={transpose}");
+                    }
+                }
+            }
+        }
+        assert!(bmm_i32_sat_into(&[0; 6], &[0; 6], [1, 2, 3, 2], false, &mut [0; 3]).is_err());
     }
 
     #[test]

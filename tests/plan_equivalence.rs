@@ -1,7 +1,8 @@
 //! End-to-end execution-plan equivalence: `IntModel::compile` lowers a
 //! graph into a fused, arena-backed [`t2c_core::ExecPlan`], and the plan
 //! must reproduce the interpreter's logits bit for bit on every zoo model
-//! — dense, pruned and N:M structured — at any worker count.
+//! — dense, pruned and N:M structured MLPs, and the conv and ViT zoo at
+//! batches 1 and 16 — at any worker count.
 //! A plan compiled from an export/import round-trip of the model must
 //! agree as well: the serialized graph carries everything compilation
 //! needs.
@@ -66,15 +67,20 @@ fn plans_match_the_interpreter_on_every_zoo_model() {
         let plan = model.compile(&dims).unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
         assert!(plan.fused_nodes() > 0, "{tag}: zoo models all carry fusable conv/linear chains");
         let mut arena = Arena::new();
-        for seed in [1u64, 2] {
-            let x = random_input(&dims, seed * 77 + 5);
+        for (seed, batch) in [(1u64, 1usize), (2, 1), (3, 16)] {
+            let x = random_input(&batched(&dims, batch), seed * 77 + 5);
             let want = model.run(&x).expect("interpreter run");
             for threads in [1usize, 4] {
                 let got = with_threads(threads, || plan.run(&x, &mut arena)).expect("planned run");
                 assert_eq!(
+                    got.dims(),
+                    want.dims(),
+                    "{tag}: planned shape diverges at seed {seed}, batch {batch}, {threads} thread(s)"
+                );
+                assert_eq!(
                     got.as_slice(),
                     want.as_slice(),
-                    "{tag}: planned logits diverge at seed {seed}, {threads} thread(s)"
+                    "{tag}: planned logits diverge at seed {seed}, batch {batch}, {threads} thread(s)"
                 );
             }
         }
