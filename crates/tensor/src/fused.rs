@@ -54,7 +54,7 @@
 //! convolution unrolls into the caller's scratch. When the convolution
 //! fans out across threads, each worker allocates its own scratch.
 
-use crate::ops::{require_rank, Conv2dSpec};
+use crate::ops::{matmul_i32_sat_into, require_rank, Conv2dSpec};
 use crate::packed::{packed_tile, PackedMat, MR, PANEL};
 use crate::parallel::{num_threads, par_units};
 use crate::sparse::{spmm_into, SparseMat};
@@ -350,23 +350,6 @@ fn unroll(
                 }
                 row[..ilo * ow].fill(0);
                 row[ihi * ow..].fill(0);
-                if stride == 1 && ow == w {
-                    // Output and input rows have the same width, so every
-                    // tap sits at one fixed offset from its output
-                    // position: the taps of rows ilo..ihi are one
-                    // contiguous run of the plane. The columns of that run
-                    // which wrapped into a neighbouring input row read
-                    // padding instead.
-                    let (a, b) = (ilo * ow + jlo, (ihi - 1) * ow + jhi);
-                    let src = (ilo + ki - pad) * w + jlo + kj - pad;
-                    row[a..b].copy_from_slice(&plane[src..src + b - a]);
-                    for oj in (0..jlo).chain(jhi..ow) {
-                        for v in row[ilo * ow + oj..ihi * ow].iter_mut().step_by(ow) {
-                            *v = 0;
-                        }
-                    }
-                    continue;
-                }
                 for oi in ilo..ihi {
                     let orow = &mut row[oi * ow..(oi + 1) * ow];
                     let xrow = &plane[(oi * stride + ki - pad) * w..][..w];
@@ -390,8 +373,8 @@ fn unroll(
 
 /// Accumulates one output channel's row: `orow[j] = Σ_p wrow[p] ·
 /// cols[p, j]` with `p` ascending and the `i64 → i32` clamp after every
-/// MAC, exactly as [`crate::ops::conv2d_i32`] does. Zero weights are
-/// skipped (a saturation no-op). When `wsum · xmax` — `Σ|w|` times a bound
+/// MAC — the `m = 1` case of the saturating product that
+/// [`crate::ops::conv2d_i32`] runs, called directly. When `wsum · xmax` — `Σ|w|` times a bound
 /// on every `|cols|` entry — fits in `i32`, no partial sum can reach the
 /// rails, so the row runs the unclamped chain (same result).
 fn conv_row(wrow: &[i32], wsum: u64, xmax: u32, cols: &[i32], orow: &mut [i32]) {
@@ -407,15 +390,7 @@ fn conv_row(wrow: &[i32], wsum: u64, xmax: u32, cols: &[i32], orow: &mut [i32]) 
         }
         return;
     }
-    for (&wv, crow) in wrow.iter().zip(cols.chunks_exact(l)) {
-        if wv != 0 {
-            let wv = i64::from(wv);
-            for (o, &cv) in orow.iter_mut().zip(crow) {
-                let acc = i64::from(*o) + wv * i64::from(cv);
-                *o = acc.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
-            }
-        }
-    }
+    matmul_i32_sat_into(wrow, cols, orow, 1, wrow.len(), l);
 }
 
 /// Records call/MAC counters for a fused product. One branch when

@@ -12,7 +12,7 @@ mod reduce;
 
 pub use conv::{col2im, conv2d, conv2d_i32, im2col, Conv2dSpec};
 pub use matmul::bmm_i32_sat_into;
-pub(crate) use matmul::BLOCK;
+pub(crate) use matmul::{matmul_i32_sat_into, BLOCK};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, global_avg_pool2d, max_pool2d, max_pool2d_backward, PoolSpec,
 };

@@ -49,8 +49,7 @@ proptest! {
     #[test]
     fn fused_conv_is_bit_identical_across_shapes_and_threads(
         nimg in 1usize..3,
-        // Groups of 1 or 2 input channels, so `groups = C` is depthwise.
-        cg in 1usize..3,
+        c in 1usize..5,
         group_sel in 0usize..3,
         // Per-group output channels below 8 or above 64.
         ocg_small in 1usize..8,
@@ -64,9 +63,11 @@ proptest! {
         full in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        // groups {1, 2, C} over C = 2·cg input channels.
-        let c = 2 * cg;
-        let groups = [1, 2, c][group_sel];
+        // groups {1, d, C}, d the smallest divisor of C above 1: C = 3
+        // gives an RGB-stem group of 3 channels and a 3-way depthwise
+        // conv, C = 4 two groups of 2.
+        let d = (2..=c).find(|d| c % d == 0).unwrap_or(1);
+        let groups = [1, d, c][group_sel];
         let ocg = if wide { ocg_big } else { ocg_small };
         let (cg, oc) = (c / groups, ocg * groups);
         let hw = hw.max(kk.saturating_sub(2 * padding));

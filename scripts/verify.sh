@@ -75,8 +75,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> build the smoke and bench binaries once"
-cargo build --release -q -p t2c-bench -p t2c-serve -p t2c-cluster --bins
+# `cargo build --release --workspace` above built every bench binary.
 bin="${CARGO_TARGET_DIR:-$PWD/target}/release"
 case "$bin" in /*) ;; *) bin="$PWD/$bin" ;; esac
 # Timestamped reports land here, not in the committed bench_results/.
