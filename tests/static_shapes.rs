@@ -127,6 +127,125 @@ fn export_checksums_are_pinned() {
     assert_eq!(got, want, "[(model, .t2cm trailer)]");
 }
 
+/// Models with one injected fault each, on the paths where lint and the
+/// certifier part ways: accumulators, a bmm envelope and a pooled output
+/// outside `i32` (lint carries on, the certificate stops), and corrupted
+/// or mis-declared sparse layouts.
+fn faulted() -> Vec<(String, IntModel, Vec<usize>)> {
+    let mut all = Vec::new();
+    let hot = |op: &mut IntOp| match op {
+        IntOp::Conv2d { weight, .. }
+        | IntOp::Linear { weight: LinearWeight::Dense(weight), .. } => {
+            weight.as_mut_slice().iter_mut().for_each(|w| *w <<= 20);
+        }
+        _ => unreachable!("a dense MAC op"),
+    };
+    let (mut m, d) = zoo::tiny_mlp();
+    hot(&mut m.nodes[1].op);
+    all.push(("mlp-fc1-overflow".to_owned(), m, d));
+    let (mut m, d) = zoo::tiny_mlp();
+    hot(&mut m.nodes[2].op);
+    all.push(("mlp-head-overflow".to_owned(), m, d));
+    let (mut m, d) = zoo::zoo()[0].1();
+    let stem = m.nodes.iter().position(|n| matches!(n.op, IntOp::Conv2d { .. })).unwrap();
+    hot(&mut m.nodes[stem].op);
+    all.push(("mobilenet-stem-overflow".to_owned(), m, d));
+    for (tag, fault) in [("corrupt", 0), ("nm-broken", 1), ("drift", 2)] {
+        let (mut m, d) =
+            if fault == 1 { zoo::tiny_mlp_nm(2, 4) } else { zoo::tiny_mlp_pruned(0.8) };
+        let IntOp::Linear { weight: LinearWeight::Sparse { mat, declared_sparsity }, .. } =
+            &mut m.nodes[1].op
+        else {
+            unreachable!("fc1 is compressed")
+        };
+        match fault {
+            0 => drop(mat.vals.pop()),
+            1 => {
+                if let t2c_tensor::SparseEncoding::Nm { n, .. } = &mut mat.encoding {
+                    *n = 0;
+                }
+            }
+            _ => *declared_sparsity += 0.2,
+        }
+        all.push((format!("mlp-sparse-{tag}"), m, d));
+    }
+    let wide = IntOp::Quantize { scale: 0.1, spec: QuantSpec::signed(16) };
+    let requant = IntOp::Requant {
+        m: FixedPointFormat::int16_frac12().quantize(0.25),
+        out_spec: QuantSpec::signed(8),
+    };
+    let mut m = IntModel::new();
+    m.push("input", wide.clone(), vec![]);
+    m.push(
+        "scores",
+        IntOp::BmmRequant {
+            transpose_rhs: true,
+            m: FixedPointFormat::int16_frac12().quantize(0.001),
+            out_spec: QuantSpec::signed(8),
+        },
+        vec![Src::Input, Src::Input],
+    );
+    m.push("out", requant.clone(), vec![Src::Node(1)]);
+    all.push(("bmm-overflow".to_owned(), m, vec![1, 4, 8]));
+    let mut m = IntModel::new();
+    m.push("input", wide, vec![]);
+    m.push("pool", IntOp::GlobalAvgPool { frac_bits: 31 }, vec![Src::Input]);
+    m.push("out", requant, vec![Src::Node(1)]);
+    all.push(("pool-overflow".to_owned(), m, vec![1, 2, 2, 2]));
+    all
+}
+
+/// The lint report, the error certificate and the certificate findings of
+/// one model, as JSON, one document per line.
+fn static_reports(model: &IntModel, dims: &[usize], tag: &str) -> String {
+    let lint = lint_model(model, dims, tag).to_json();
+    let (cert, cert_lint) = certify_model(model, dims, ErrorBoundConfig::default(), tag);
+    format!("{lint}\n{}\n{}\n", cert.to_json(), cert_lint.to_json())
+}
+
+#[test]
+fn lint_and_certificate_reports_are_pinned() {
+    // model → fnv1a64 of its lint and certificate reports, for the zoo,
+    // the MLP family and the faulted variants, plus one digest over 256
+    // fixed random graphs (dangling and forward sources, missing operands,
+    // shape refusals and short LUTs among them), recorded while lint and
+    // the certifier walked the graph separately.
+    #[rustfmt::skip]
+    let pins: [(&str, u64); 15] = [
+        ("mobilenet-ptq", 0x5134_ad6a_230a_62f6),
+        ("resnet-qat", 0x37b9_c87f_e7b8_138a),
+        ("vit-ptq", 0xea8a_d127_2c98_fcc1),
+        ("mlp-dense", 0xad4f_5a12_b28e_be6a),
+        ("mlp-pruned-0.8", 0xea7b_95cd_cb34_8264),
+        ("mlp-nm-2of4", 0x0740_809e_dd97_e3dc),
+        ("mlp-fc1-overflow", 0x8897_f0df_f603_7459),
+        ("mlp-head-overflow", 0x7f04_4bc6_9b8d_bcb9),
+        ("mobilenet-stem-overflow", 0x0dc4_c0f9_64ed_7a5a),
+        ("mlp-sparse-corrupt", 0x57df_c5c2_ec73_ca7a),
+        ("mlp-sparse-nm-broken", 0x0310_87f7_02aa_b86c),
+        ("mlp-sparse-drift", 0xc870_2860_844a_bdd9),
+        ("bmm-overflow", 0xba08_b85d_dd64_5a90),
+        ("pool-overflow", 0x3e7a_9943_ac4e_11fa),
+        ("random-256", 0xde75_08ad_3998_f389),
+    ];
+    let mut got: Vec<(String, u64)> = models()
+        .iter()
+        .chain(&faulted())
+        .map(|(tag, model, dims)| {
+            (tag.clone(), fnv1a64(static_reports(model, dims, tag).as_bytes()))
+        })
+        .collect();
+    let random: String = (0..256u64)
+        .map(|seed| {
+            let (model, input) = random_case(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            static_reports(&model, &input, &format!("random-{seed}"))
+        })
+        .collect();
+    got.push(("random-256".to_owned(), fnv1a64(random.as_bytes())));
+    let want: Vec<(String, u64)> = pins.iter().map(|(t, c)| (t.to_string(), *c)).collect();
+    assert_eq!(got, want, "[(model, fnv1a64 of lint + certificate JSON)]");
+}
+
 /// Draws for one random graph.
 struct Draw(TestRng);
 
