@@ -1,12 +1,16 @@
-//! Interval dataflow over [`IntModel`] graphs.
+//! The one graph walk behind [`lint_model`] and [`crate::certify_model`].
 //!
-//! The analysis walks the topologically ordered op list once, carrying a
-//! per-node [`State`]: the inferred output shape, the exact value interval
-//! of the output codes, and the declared grid when the op clamps onto one.
-//! All interval arithmetic is done in `i128`, mirrors the hardware
-//! datapath op for op (`round_shift`, per-MAC `i32` saturation envelopes,
-//! bias broadcast), and is **sound**: if a rule does not fire, the proven
-//! property holds for *every* input on the declared input grid.
+//! The walk visits the topologically ordered op list once, carrying a
+//! per-node [`State`]: the output shape (core's [`IntOp::out_dims`]), the
+//! exact value interval of the output codes, the declared grid when the
+//! op clamps onto one, and the certified error state
+//! ([`crate::errorbound`]). Each node's transfer computes all of them
+//! together and files lint findings (`T2C0xx`–`T2C5xx`) and certificate
+//! findings (`T2C6xx`) in separate lists. All interval arithmetic is done
+//! in `i128`, mirrors the hardware datapath op for op (`round_shift`,
+//! per-MAC `i32` saturation envelopes, bias broadcast), and is **sound**:
+//! if a rule does not fire, the proven property holds for *every* input on
+//! the declared input grid.
 
 use std::collections::BTreeSet;
 
@@ -15,6 +19,7 @@ use t2c_core::lut::{GeluLut, SoftmaxLut};
 use t2c_core::{FixedScalar, IntModel, MulQuant, QuantSpec};
 use t2c_tensor::{SparseError, Tensor};
 
+use crate::errorbound::{edge_err, half_ulp, maxabs, overshoot, Cert};
 use crate::interval::{round_shift_i128, slice_min_max, Interval};
 use crate::{Diagnostic, LintReport, Rule, Severity};
 
@@ -44,10 +49,27 @@ pub struct NodeSummary {
 
 /// Dataflow state of one tensor edge.
 #[derive(Debug, Clone)]
-struct State {
-    shape: Vec<usize>,
-    range: Interval,
+pub(crate) struct State {
+    pub(crate) shape: Vec<usize>,
+    pub(crate) range: Interval,
     spec: Option<QuantSpec>,
+    /// The certified error state; `None` once a finding upstream (or here)
+    /// leaves the divergence unbounded, while the interval analysis may
+    /// carry on.
+    pub(crate) cert: Option<Cert>,
+}
+
+/// One output channel of a conv/linear layer against a per-tensor input
+/// interval.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Channel {
+    /// The exact end-of-sum interval, bias included.
+    pub(crate) fin: Interval,
+    /// Bounds every partial sum as well (bias included): what the per-MAC
+    /// saturating kernel clips on.
+    pub(crate) env: Interval,
+    /// `Σ|w|` over the channel's weights.
+    pub(crate) abs_w: f64,
 }
 
 fn sat_i64(v: i128) -> i64 {
@@ -58,34 +80,66 @@ fn sat_i64(v: i128) -> i64 {
 /// model input has shape `input_shape` (batch included) and spans the
 /// entire grid declared by the leading `Quantize` node.
 pub fn lint_model(model: &IntModel, input_shape: &[usize], tag: &str) -> LintReport {
-    let mut ctx = Ctx { diags: Vec::new() };
+    let (mut ctx, states) = walk(model, input_shape);
+    // -- reachability --------------------------------------------------
+    let consumed: BTreeSet<usize> = model
+        .nodes
+        .iter()
+        .flat_map(|n| n.inputs.iter())
+        .filter_map(|s| match s {
+            Src::Node(id) => Some(*id),
+            Src::Input => None,
+        })
+        .collect();
+    // Node 0 is the Quantize entry whose output downstream nodes read as
+    // `Src::Input`, so it is reachable by construction.
+    for (i, node) in model.nodes.iter().enumerate() {
+        if i > 0 && i + 1 < model.len() && !consumed.contains(&i) {
+            ctx.push(Diagnostic::node(
+                Rule::UnreachableNode,
+                Severity::Warn,
+                i,
+                node.name.clone(),
+                "output is never consumed and this is not the model output".to_owned(),
+                "remove the node or wire its output into the graph",
+            ));
+        }
+    }
+    ctx.into_report(tag, model, &states)
+}
+
+/// Walks `model` once: every node's [`State`] (`None` where the interval
+/// analysis stops), with the lint and certificate findings in `Ctx`.
+pub(crate) fn walk(model: &IntModel, input_shape: &[usize]) -> (Ctx, Vec<Option<State>>) {
+    let mut ctx = Ctx { lint: Vec::new(), cert: Vec::new() };
     let mut states: Vec<Option<State>> = Vec::with_capacity(model.len());
 
-    if model.is_empty() {
-        ctx.push(Diagnostic::global(
-            Rule::MissingQuantize,
-            Severity::Error,
-            "model",
-            "model has no nodes",
-            "push at least a Quantize node",
-        ));
-        return ctx.into_report(tag, model, &states);
-    }
-
     let input_state = match model.nodes.first().map(|n| &n.op) {
-        Some(IntOp::Quantize { spec, .. }) => Some(State {
+        Some(IntOp::Quantize { scale, spec }) => Some(State {
             shape: input_shape.to_vec(),
             range: Interval::of_spec(*spec),
             spec: Some(*spec),
+            // The input quantizer's own rounding: half a step.
+            cert: Some(Cert { err: 0.5, local: 0.5, scale: Some(f64::from(*scale)) }),
         }),
-        _ => {
+        Some(op) => {
             ctx.push(Diagnostic::node(
                 Rule::MissingQuantize,
                 Severity::Error,
                 0,
                 model.nodes[0].name.clone(),
-                format!("first node is `{}`, not `quantize`", model.nodes[0].op.label()),
+                format!("first node is `{}`, not `quantize`", op.label()),
                 "IntModel::run requires a leading Quantize node declaring the input grid",
+            ));
+            None
+        }
+        None => {
+            ctx.push(Diagnostic::global(
+                Rule::MissingQuantize,
+                Severity::Error,
+                "model",
+                "model has no nodes",
+                "push at least a Quantize node",
             ));
             None
         }
@@ -96,6 +150,14 @@ pub fn lint_model(model: &IntModel, input_shape: &[usize], tag: &str) -> LintRep
         let mut sources_ok = true;
         for src in &node.inputs {
             if let Src::Node(id) = src {
+                // The certificate ends at the first dangling or forward
+                // source.
+                ctx.lose_certificate(
+                    *id >= i && sources_ok,
+                    i,
+                    &node.name,
+                    "the node reads a dangling or forward source",
+                );
                 if *id >= model.len() {
                     sources_ok = false;
                     ctx.push(Diagnostic::node(
@@ -152,42 +214,18 @@ pub fn lint_model(model: &IntModel, input_shape: &[usize], tag: &str) -> LintRep
         };
         states.push(state);
     }
-
-    // -- reachability --------------------------------------------------
-    let consumed: BTreeSet<usize> = model
-        .nodes
-        .iter()
-        .flat_map(|n| n.inputs.iter())
-        .filter_map(|s| match s {
-            Src::Node(id) => Some(*id),
-            Src::Input => None,
-        })
-        .collect();
-    // Node 0 is the Quantize entry whose output downstream nodes read as
-    // `Src::Input`, so it is reachable by construction.
-    for (i, node) in model.nodes.iter().enumerate() {
-        if i > 0 && i + 1 < model.len() && !consumed.contains(&i) {
-            ctx.push(Diagnostic::node(
-                Rule::UnreachableNode,
-                Severity::Warn,
-                i,
-                node.name.clone(),
-                "output is never consumed and this is not the model output".to_owned(),
-                "remove the node or wire its output into the graph",
-            ));
-        }
-    }
-
-    ctx.into_report(tag, model, &states)
+    (ctx, states)
 }
 
-struct Ctx {
-    diags: Vec<Diagnostic>,
+/// The walk's findings: lint's and the certificate's, kept apart.
+pub(crate) struct Ctx {
+    lint: Vec<Diagnostic>,
+    pub(crate) cert: Vec<Diagnostic>,
 }
 
 impl Ctx {
     fn push(&mut self, d: Diagnostic) {
-        self.diags.push(d);
+        self.lint.push(d);
     }
 
     fn into_report(self, tag: &str, model: &IntModel, states: &[Option<State>]) -> LintReport {
@@ -207,7 +245,7 @@ impl Ctx {
                 }
             })
             .collect();
-        LintReport { tag: tag.to_owned(), diagnostics: self.diags, nodes }
+        LintReport { tag: tag.to_owned(), diagnostics: self.lint, nodes }
     }
 
     /// Per-`FixedScalar` representability checks (T2C202 / T2C203).
@@ -277,16 +315,17 @@ impl Ctx {
     }
 
     /// Requantizer checks over per-channel accumulator intervals
-    /// (T2C102/T2C103/T2C201/T2C202/T2C203). Returns the union of the
-    /// per-channel clamped outputs.
+    /// (T2C102/T2C103/T2C201/T2C202/T2C203). Returns each channel's
+    /// image after the ReLU and before the output clamp, `None` where the
+    /// requantization product leaves `i64`.
     fn requant(
         &mut self,
         i: usize,
         name: &str,
         mq: &MulQuant,
-        acc: &[Interval],
+        acc: &[Channel],
         relu: bool,
-    ) -> Interval {
+    ) -> Vec<Option<Interval>> {
         let headroom = mq.bias_headroom();
         for (ci, &b) in mq.bias_raw.iter().enumerate() {
             if b.abs() > headroom {
@@ -307,67 +346,56 @@ impl Ctx {
             let m = FixedScalar { raw: sr, format: mq.format };
             self.fixed_scalar_check(i, name, m, &format!("MulQuant channel {ci}"));
         }
+        let mapped: Vec<Option<Interval>> = acc
+            .iter()
+            .enumerate()
+            .map(|(ch, c)| {
+                let a = c.fin;
+                let ci = ch.min(mq.scale_raw.len() - 1);
+                let bias = mq.bias_raw[ci.min(mq.bias_raw.len() - 1)] as i128;
+                let scale = mq.scale_raw[ci] as i128;
+                let full = Interval::new(a.lo * scale + bias, a.hi * scale + bias);
+                if !full.fits_i64() {
+                    self.push(Diagnostic::node(
+                        Rule::WideProductOverflow,
+                        Severity::Error,
+                        i,
+                        name,
+                        format!(
+                            "requant product acc·M + B spans {full}, outside i64 (channel {ch})"
+                        ),
+                        "shrink the accumulator range or the multiplier magnitude",
+                    ));
+                    return None;
+                }
+                let mapped = Interval::new(
+                    round_shift_i128(full.lo, mq.format.frac_bits),
+                    round_shift_i128(full.hi, mq.format.frac_bits),
+                );
+                Some(if relu { mapped.relu() } else { mapped })
+            })
+            .collect();
         // Worst mapped interval across channels, pre-clamp; checked once
         // so a 512-channel layer produces one finding, not 512.
-        let mut worst: Option<Interval> = None;
-        let mut out: Option<Interval> = None;
-        for (ch, &a) in acc.iter().enumerate() {
-            let ci = ch.min(mq.scale_raw.len() - 1);
-            let bias = mq.bias_raw[ci.min(mq.bias_raw.len() - 1)] as i128;
-            let full = Interval::new(
-                (a.lo * mq.scale_raw[ci] as i128).min(a.hi * mq.scale_raw[ci] as i128) + bias,
-                (a.lo * mq.scale_raw[ci] as i128).max(a.hi * mq.scale_raw[ci] as i128) + bias,
-            );
-            if !full.fits_i64() {
-                self.push(Diagnostic::node(
-                    Rule::WideProductOverflow,
-                    Severity::Error,
-                    i,
-                    name,
-                    format!("requant product acc·M + B spans {full}, outside i64 (channel {ch})"),
-                    "shrink the accumulator range or the multiplier magnitude",
-                ));
-                continue;
-            }
-            let mut mapped = Interval::new(
-                round_shift_i128(full.lo, mq.format.frac_bits),
-                round_shift_i128(full.hi, mq.format.frac_bits),
-            );
-            if relu {
-                mapped = mapped.relu();
-            }
-            worst = Some(match worst {
-                Some(w) => w.union(mapped),
-                None => mapped,
-            });
-            out = Some(match out {
-                Some(o) => o.union(mapped.clamp_to(mq.out_spec)),
-                None => mapped.clamp_to(mq.out_spec),
-            });
+        if let Some(worst) = mapped.iter().flatten().copied().reduce(Interval::union) {
+            self.scale_chain(i, name, worst, mq.out_spec, "MulQuant");
         }
-        if let Some(w) = worst {
-            self.scale_chain(i, name, w, mq.out_spec, "MulQuant");
-        }
-        out.unwrap_or_else(|| Interval::of_spec(mq.out_spec))
+        mapped
     }
 
-    /// Per-output-channel accumulator intervals for a conv/linear weight
-    /// tensor against a per-tensor input interval. Returns
-    /// `(final, envelope)` pairs: `final` is the exact end-of-sum
-    /// interval (bias included), `envelope` additionally bounds every
-    /// partial sum, which is what the per-MAC saturating kernel clips on.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    /// Per-output-channel accumulators for a conv/linear weight tensor
+    /// against a per-tensor input interval `x`.
     fn mac_channels(
         &mut self,
         i: usize,
         name: &str,
         weight: &Tensor<i32>,
-        oc: usize,
         x: Interval,
         bias: Option<&[i64]>,
         weight_spec: QuantSpec,
-    ) -> Vec<(Interval, Interval)> {
+    ) -> Vec<Channel> {
         let ws = weight.as_slice();
+        let oc = weight.dim(0);
         let per = ws.len() / oc.max(1);
         if let Some((min, max)) = ws.iter().fold(None, |mm: Option<(i32, i32)>, &w| {
             Some(mm.map_or((w, w), |(lo, hi)| (lo.min(w), hi.max(w))))
@@ -397,38 +425,43 @@ impl Ctx {
                 ));
             }
         }
-        let mut per_ch = Vec::with_capacity(oc);
-        for c in 0..oc {
-            let (mut lo, mut hi) = (0i128, 0i128);
-            let (mut env_lo, mut env_hi) = (0i128, 0i128);
-            for &w in &ws[c * per..(c + 1) * per] {
-                let a = w as i128 * x.lo;
-                let b = w as i128 * x.hi;
-                let (cl, ch) = (a.min(b), a.max(b));
-                lo += cl;
-                hi += ch;
-                env_lo += cl.min(0);
-                env_hi += ch.max(0);
-            }
-            // The runtime broadcasts the last entry; an empty bias adds nothing.
-            let bv = bias.and_then(|b| b.get(c).or(b.last())).map_or(0, |&b| i128::from(b));
-            per_ch.push((
-                Interval::new(lo + bv, hi + bv),
-                Interval::new(env_lo + bv.min(0), env_hi + bv.max(0)),
-            ));
-        }
-        per_ch
+        (0..oc)
+            .map(|c| {
+                // x is one interval for every MAC, so each sum only needs
+                // the channel's positive and negative weight mass.
+                let (mut pos, mut neg) = (0i64, 0i64);
+                for &w in &ws[c * per..(c + 1) * per] {
+                    if w > 0 {
+                        pos += i64::from(w);
+                    } else {
+                        neg += i64::from(w);
+                    }
+                }
+                let (pos, neg) = (i128::from(pos), i128::from(neg));
+                // The runtime broadcasts the last entry; an empty bias adds nothing.
+                let bv = bias.and_then(|b| b.get(c).or(b.last())).map_or(0, |&b| i128::from(b));
+                let (lo0, hi0) = (x.lo.min(0), x.hi.max(0));
+                Channel {
+                    fin: Interval::new(pos * x.lo + neg * x.hi + bv, pos * x.hi + neg * x.lo + bv),
+                    env: Interval::new(
+                        pos * lo0 + neg * hi0 + bv.min(0),
+                        pos * hi0 + neg * lo0 + bv.max(0),
+                    ),
+                    abs_w: (pos - neg) as f64,
+                }
+            })
+            .collect()
     }
 
     /// Emits T2C101 if any channel's saturation envelope (partial sums
     /// plus bias) can leave `i32`. Reports the single worst channel.
-    fn acc_overflow(&mut self, i: usize, name: &str, per_ch: &[(Interval, Interval)]) -> bool {
-        let worst = per_ch
+    fn acc_overflow(&mut self, i: usize, name: &str, chans: &[Channel]) {
+        let worst = chans
             .iter()
             .enumerate()
-            .filter(|(_, (f, e))| !f.fits_i32() || !e.fits_i32())
-            .max_by_key(|(_, (f, e))| f.union(*e).width());
-        if let Some((ch, (f, e))) = worst {
+            .filter(|(_, c)| !c.fin.fits_i32() || !c.env.fits_i32())
+            .max_by_key(|(_, c)| c.fin.union(c.env).width());
+        if let Some((ch, c)) = worst {
             self.push(Diagnostic::node(
                 Rule::AccOverflow,
                 Severity::Error,
@@ -436,14 +469,12 @@ impl Ctx {
                 name,
                 format!(
                     "channel {ch} accumulator can reach {} (partial-sum envelope {}), outside i32 — the saturating MAC array silently clips",
-                    f.union(*e),
-                    e
+                    c.fin.union(c.env),
+                    c.env
                 ),
                 "reduce MAC count per output, weight magnitude or input bit width so the proof closes",
             ));
-            return true;
         }
-        false
     }
 
     #[allow(clippy::too_many_lines)]
@@ -466,16 +497,19 @@ impl Ctx {
                     "Quantize after position 0 acts as a passthrough of the model input".to_owned(),
                     "quantize exactly once, at the graph entry",
                 ));
-                return input_state.cloned();
+                return input_state.cloned().map(State::moved);
             }
             return input_state.cloned().map(|s| State { spec: Some(*spec), ..s });
         }
         // The output shape comes from core's shared shape rule; an
-        // operand missing upstream ends the analysis silently.
-        let dims: Vec<&[usize]> = [&in0, &in1][..node.op.arity()]
+        // operand missing upstream ends the analysis silently, and one
+        // whose certificate was lost ends the certificate silently.
+        let operands = &[&in0, &in1][..node.op.arity()];
+        let dims: Vec<&[usize]> = operands
             .iter()
             .map(|s| s.as_ref().map(|s| s.shape.as_slice()))
             .collect::<Option<_>>()?;
+        let live = operands.iter().all(|s| s.as_ref().is_some_and(|s| s.cert.is_some()));
         let shape = match node.op.out_dims(&dims) {
             Ok(shape) => shape,
             Err(e) => {
@@ -487,6 +521,7 @@ impl Ctx {
                     e.to_string(),
                     "fix the operand shapes or the op parameters (ranks, extents, lengths)",
                 ));
+                self.lose_certificate(live, i, &name, &format!("shape inference failed: {e}"));
                 return None;
             }
         };
@@ -495,26 +530,15 @@ impl Ctx {
             IntOp::Conv2d { weight, bias, spec, requant, relu, weight_spec } => {
                 let x = in0?;
                 let xr = if spec.padding > 0 { x.range.include_zero() } else { x.range };
-                let oc = shape[1];
-                let per_ch =
-                    self.mac_channels(i, &name, weight, oc, xr, bias.as_deref(), *weight_spec);
-                self.acc_overflow(i, &name, &per_ch);
-                if mq_channel_mismatch(requant, oc) {
-                    self.push(Diagnostic::node(
-                        Rule::ShapeMismatch,
-                        Severity::Warn,
-                        i,
-                        &name,
-                        format!(
-                            "requantizer carries {} channel(s) for {oc} output channels",
-                            requant.channels()
-                        ),
-                        "use 1 (per-tensor) or OC requantizer channels",
-                    ));
-                }
-                let finals: Vec<Interval> = per_ch.iter().map(|(f, _)| *f).collect();
-                let out = self.requant(i, &name, requant, &finals, *relu);
-                Some(State { shape, range: out, spec: Some(requant.out_spec) })
+                let mac = Mac {
+                    weight,
+                    bias: bias.as_deref(),
+                    requant: Some(requant),
+                    relu: *relu,
+                    weight_spec: *weight_spec,
+                    axis: ("channels", "OC"),
+                };
+                Some(self.mac_body(i, &name, &mac, xr, x.cert, shape))
             }
             IntOp::Linear { weight, bias, requant, relu, weight_spec } => {
                 let x = in0?;
@@ -543,6 +567,7 @@ impl Ctx {
                             format!("{e}"),
                             hint,
                         ));
+                        self.lose_certificate(live, i, &name, "the sparse weight fails validation");
                         return None;
                     }
                     let actual = mat.sparsity();
@@ -563,17 +588,16 @@ impl Ctx {
                 }
                 // The skip-zero kernel is bit-identical to the masked-dense
                 // path, so the dense expansion carries the exact intervals.
-                self.linear_body(
-                    i,
-                    &name,
-                    &weight.to_dense(),
-                    bias.as_deref(),
-                    requant.as_ref(),
-                    *relu,
-                    *weight_spec,
-                    x.range,
-                    shape,
-                )
+                let weight = weight.to_dense();
+                let mac = Mac {
+                    weight: &weight,
+                    bias: bias.as_deref(),
+                    requant: requant.as_ref(),
+                    relu: *relu,
+                    weight_spec: *weight_spec,
+                    axis: ("features", "OUT"),
+                };
+                Some(self.mac_body(i, &name, &mac, x.range, x.cert, shape))
             }
             IntOp::AddRequant { m_a, m_b, out_spec, relu } => {
                 let (a, b) = (in0?, in1?);
@@ -584,7 +608,16 @@ impl Ctx {
                     mapped = mapped.relu();
                 }
                 let out = self.scale_chain(i, &name, mapped, *out_spec, "add_requant");
-                Some(State { shape, range: out, spec: Some(*out_spec) })
+                let cert = a.cert.zip(b.cert).map(|(ca, cb)| {
+                    let err = edge_err(*m_a, a.range, ca.err)
+                        + edge_err(*m_b, b.range, cb.err)
+                        + overshoot(mapped, *out_spec);
+                    let local = err - m_a.magnitude() * ca.err - m_b.magnitude() * cb.err;
+                    let ulp = half_ulp(*m_a, a.range) + half_ulp(*m_b, b.range);
+                    self.check_scale_amplification(i, &name, ulp, local);
+                    Cert { err, local, scale: None }
+                });
+                Some(State { shape, range: out, spec: Some(*out_spec), cert })
             }
             IntOp::AddConstRequant { value, m, out_spec } => {
                 let a = in0?;
@@ -593,23 +626,28 @@ impl Ctx {
                 let sum = a.range + Interval::new(cmin as i128, cmax as i128);
                 let mapped = sum.map_fixed(*m);
                 let out = self.scale_chain(i, &name, mapped, *out_spec, "add_const_requant");
-                Some(State { shape, range: out, spec: Some(*out_spec) })
+                let cert = a.cert.map(|c| {
+                    // The stored constant stands for a real within ½ code.
+                    let err = edge_err(*m, sum, c.err + 0.5) + overshoot(mapped, *out_spec);
+                    Cert { err, local: err - m.magnitude() * c.err, scale: None }
+                });
+                Some(State { shape, range: out, spec: Some(*out_spec), cert })
             }
-            // Shape-only ops keep the operand's range and grid.
+            // Shape-only ops keep the operand's range, grid and error (max
+            // over a window is 1-Lipschitz in the ∞-norm).
             IntOp::MaxPool2d { .. }
             | IntOp::Flatten
             | IntOp::PatchToTokens
             | IntOp::TakeToken { .. }
             | IntOp::SplitHeads { .. }
-            | IntOp::MergeHeads { .. } => Some(State { shape, ..in0? }),
+            | IntOp::MergeHeads { .. } => Some(State { shape, ..in0?.moved() }),
             IntOp::GlobalAvgPool { frac_bits } => {
                 let x = in0?;
                 let hw = (x.shape[2] * x.shape[3]).max(1);
                 // The runtime's fixed-point 2^(16+frac)/(H·W) multiplier.
-                let m = (((1i64 << (16 + *frac_bits as i64)) as f64) / hw as f64).round() as i128;
+                let m = (((1i64 << (16 + *frac_bits as i64)) as f64) / hw as f64).round();
                 let sum = x.range.scale(hw as i128);
-                let product =
-                    Interval::new((sum.lo * m).min(sum.hi * m), (sum.lo * m).max(sum.hi * m));
+                let product = sum.scale(m as i128);
                 if !product.fits_i64() {
                     self.push(Diagnostic::node(
                         Rule::WideProductOverflow,
@@ -619,12 +657,14 @@ impl Ctx {
                         format!("pooling product sum·m spans {product}, outside i64"),
                         "reduce the pooled extent or the retained fractional bits",
                     ));
+                    self.lose_certificate(live, i, &name, "the pooling product leaves i64");
                     return None;
                 }
                 let out = Interval::new(
                     round_shift_i128(product.lo, 16),
                     round_shift_i128(product.hi, 16),
                 );
+                let mut cert = x.cert;
                 if !out.fits_i32() {
                     self.push(Diagnostic::node(
                         Rule::AccOverflow,
@@ -634,8 +674,20 @@ impl Ctx {
                         format!("pooled output range {out} does not fit i32"),
                         "lower frac_bits",
                     ));
+                    self.lose_certificate(live, i, &name, "the pooled output leaves i32");
+                    cert = None;
                 }
-                Some(State { shape, range: out, spec: if *frac_bits == 0 { x.spec } else { None } })
+                let cert = cert.map(|c| {
+                    // Sum error ≤ hw·e_in through the multiplier, the
+                    // reciprocal's rounding (≤ ½ raw) amplified by the sum,
+                    // and the final rounding shift.
+                    let propagated = (m / 65536.0) * hw as f64 * c.err;
+                    let err = 0.5 + propagated + maxabs(sum) * 0.5 / 65536.0;
+                    let scale = c.scale.map(|s| s / f64::from(1u32 << *frac_bits));
+                    Cert { err, local: err - propagated, scale }
+                });
+                let spec = if *frac_bits == 0 { x.spec } else { None };
+                Some(State { shape, range: out, spec, cert })
             }
             IntOp::ConcatToken { token } => {
                 let x = in0?;
@@ -656,6 +708,8 @@ impl Ctx {
                     shape,
                     range: x.range.union(Interval::new(tmin as i128, tmax as i128)),
                     spec: x.spec,
+                    // The stored token stands for a real within ½ code.
+                    cert: x.cert.map(|c| Cert { err: c.err.max(0.5), local: 0.5, ..c }),
                 })
             }
             IntOp::BmmRequant { m, out_spec, .. } => {
@@ -664,6 +718,7 @@ impl Ctx {
                 let product = a.range * b.range;
                 let envelope =
                     Interval::new(product.lo.min(0) * k as i128, product.hi.max(0) * k as i128);
+                let mut live = live;
                 if !envelope.fits_i32() {
                     self.push(Diagnostic::node(
                         Rule::AccOverflow,
@@ -675,74 +730,115 @@ impl Ctx {
                         ),
                         "reduce the contraction length or operand bit widths",
                     ));
+                    self.lose_certificate(
+                        live,
+                        i,
+                        &name,
+                        "the bmm accumulator envelope leaves i32 — the saturating MAC array clips by an unbounded amount",
+                    );
+                    live = false;
                 }
                 self.fixed_scalar_check(i, &name, *m, "bmm");
                 let acc = product.scale(k as i128);
                 let mapped = acc.map_fixed(*m);
                 let out = self.scale_chain(i, &name, mapped, *out_spec, "bmm_requant");
-                Some(State { shape, range: out, spec: Some(*out_spec) })
+                let cert = a.cert.zip(b.cert).filter(|_| live).map(|(ca, cb)| {
+                    // Both operands are data tensors: error of a product of
+                    // perturbed factors, summed over the contraction.
+                    let e_acc = k as f64
+                        * (maxabs(a.range) * cb.err + maxabs(b.range) * ca.err + ca.err * cb.err);
+                    let err = edge_err(*m, acc, e_acc) + overshoot(mapped, *out_spec);
+                    let local = err - m.magnitude() * e_acc;
+                    self.check_scale_amplification(i, &name, half_ulp(*m, acc), local);
+                    Cert { err, local, scale: None }
+                });
+                Some(State { shape, range: out, spec: Some(*out_spec), cert })
             }
             IntOp::Requant { m, out_spec } => {
                 let x = in0?;
                 self.fixed_scalar_check(i, &name, *m, "requant");
                 let mapped = x.range.map_fixed(*m);
                 let out = self.scale_chain(i, &name, mapped, *out_spec, "requant");
-                Some(State { shape, range: out, spec: Some(*out_spec) })
+                let cert = x.cert.map(|c| {
+                    let err = edge_err(*m, x.range, c.err) + overshoot(mapped, *out_spec);
+                    let local = err - m.magnitude() * c.err;
+                    self.check_scale_amplification(i, &name, half_ulp(*m, x.range), local);
+                    Cert { err, local, scale: None }
+                });
+                Some(State { shape, range: out, spec: Some(*out_spec), cert })
             }
             IntOp::LayerNorm(ln) => Some(State {
                 shape,
                 range: Interval::of_spec(ln.out_spec),
                 spec: Some(ln.out_spec),
+                // Coarse, input-independent: both the int path and the
+                // grid-clamped reference land on the declared output grid,
+                // so their divergence is at most the grid width. This also
+                // *resets* the incoming error — normalization re-anchors
+                // the scale chain.
+                cert: live.then(|| {
+                    let err = ln.out_spec.width() as f64;
+                    Cert { err, local: err, scale: None }
+                }),
             }),
-            IntOp::SoftmaxLut(lut) => self.softmax_lut(i, &name, lut, in0?.range, shape),
-            IntOp::GeluLut(lut) => self.gelu_lut(i, &name, lut, in0?.range, shape),
+            IntOp::SoftmaxLut(lut) => self.softmax_lut(i, &name, lut, live, in0?.range, shape),
+            IntOp::GeluLut(lut) => self.gelu_lut(i, &name, lut, in0?, shape),
         }
     }
 
-    /// The dense analysis of a `Linear` weight (a compressed one after
-    /// densifying): per-channel accumulator intervals, overflow proof and
-    /// requantizer checks over an input range `x`.
-    #[allow(clippy::too_many_arguments)]
-    fn linear_body(
+    /// A conv/linear layer over an input range `x` (a compressed linear
+    /// weight after densifying): per-channel accumulators, the overflow
+    /// proof, requantizer checks and the layer's error state.
+    fn mac_body(
         &mut self,
         i: usize,
         name: &str,
-        weight: &Tensor<i32>,
-        bias: Option<&[i64]>,
-        requant: Option<&MulQuant>,
-        relu: bool,
-        weight_spec: QuantSpec,
+        mac: &Mac<'_>,
         x: Interval,
+        x_cert: Option<Cert>,
         shape: Vec<usize>,
-    ) -> Option<State> {
-        let out_f = weight.dim(0);
-        let per_ch = self.mac_channels(i, name, weight, out_f, x, bias, weight_spec);
-        self.acc_overflow(i, name, &per_ch);
-        let finals: Vec<Interval> = per_ch.iter().map(|(f, _)| *f).collect();
-        match requant {
+    ) -> State {
+        let chans = self.mac_channels(i, name, mac.weight, x, mac.bias, mac.weight_spec);
+        self.acc_overflow(i, name, &chans);
+        let (range, spec, mapped) = match mac.requant {
             Some(mq) => {
-                if mq_channel_mismatch(mq, out_f) {
+                if mq_channel_mismatch(mq, chans.len()) {
+                    let (unit, per) = mac.axis;
                     self.push(Diagnostic::node(
                         Rule::ShapeMismatch,
                         Severity::Warn,
                         i,
                         name,
                         format!(
-                            "requantizer carries {} channel(s) for {out_f} output features",
-                            mq.channels()
+                            "requantizer carries {} channel(s) for {} output {unit}",
+                            mq.channels(),
+                            chans.len()
                         ),
-                        "use 1 (per-tensor) or OUT requantizer channels",
+                        format!("use 1 (per-tensor) or {per} requantizer channels"),
                     ));
                 }
-                let out = self.requant(i, name, mq, &finals, relu);
-                Some(State { shape, range: out, spec: Some(mq.out_spec) })
+                let mapped = self.requant(i, name, mq, &chans, mac.relu);
+                let out = mapped
+                    .iter()
+                    .flatten()
+                    .map(|m| m.clamp_to(mq.out_spec))
+                    .reduce(Interval::union)
+                    .unwrap_or_else(|| Interval::of_spec(mq.out_spec));
+                (out, Some(mq.out_spec), mapped)
             }
             None => {
-                let range =
-                    finals.iter().copied().reduce(Interval::union).unwrap_or(Interval::point(0));
-                Some(State { shape, range, spec: None })
+                let range = chans
+                    .iter()
+                    .map(|c| c.fin)
+                    .reduce(Interval::union)
+                    .unwrap_or(Interval::point(0));
+                (range, None, Vec::new())
             }
-        }
+        };
+        let layer = (mac.weight.numel() / chans.len().max(1), mac.bias.is_some());
+        let cert = x_cert
+            .and_then(|c| self.mac_cert(i, name, &chans, mac.requant, &mapped, layer, x, c.err));
+        State { shape, range, spec, cert }
     }
 
     fn softmax_lut(
@@ -750,6 +846,7 @@ impl Ctx {
         i: usize,
         name: &str,
         lut: &SoftmaxLut,
+        live: bool,
         x: Interval,
         shape: Vec<usize>,
     ) -> Option<State> {
@@ -762,6 +859,7 @@ impl Ctx {
                 "softmax exp table is empty".to_owned(),
                 "build the table with at least one entry",
             ));
+            self.lose_certificate(live, i, name, "the softmax exp table is empty");
             return None;
         }
         let spread = x.width();
@@ -778,10 +876,19 @@ impl Ctx {
                 "grow table_size to cover the producer's score spread",
             ));
         }
+        // Probabilities: both the int path and the reference live in
+        // [0, qmax] by construction, so the grid width is a sound,
+        // input-independent bound (and an error reset).
+        let cert = live.then(|| {
+            let err = lut.out_spec.qmax() as f64;
+            self.check_lut_domination(i, name, err, err);
+            Cert { err, local: err, scale: Some(f64::from(lut.out_scale())) }
+        });
         Some(State {
             shape,
             range: Interval::new(0, lut.out_spec.qmax() as i128),
             spec: Some(lut.out_spec),
+            cert,
         })
     }
 
@@ -790,7 +897,7 @@ impl Ctx {
         i: usize,
         name: &str,
         lut: &GeluLut,
-        x: Interval,
+        x: State,
         shape: Vec<usize>,
     ) -> Option<State> {
         let expected = lut.in_spec.width() as usize + 1;
@@ -808,9 +915,15 @@ impl Ctx {
                 ),
                 "rebuild the table with GeluLut::build over the full input grid",
             ));
+            self.lose_certificate(
+                x.cert.is_some(),
+                i,
+                name,
+                "the GELU table does not cover the input grid",
+            );
             return None;
         }
-        if !x.within(lut.in_spec) {
+        if !x.range.within(lut.in_spec) {
             self.push(Diagnostic::node(
                 Rule::LutRangeTruncated,
                 Severity::Warn,
@@ -818,7 +931,7 @@ impl Ctx {
                 name,
                 format!(
                     "producer range {} exceeds the table's {} domain; out-of-domain codes clamp to the edge entries",
-                    x, lut.in_spec
+                    x.range, lut.in_spec
                 ),
                 "requantize the producer onto the table's input grid",
             ));
@@ -828,8 +941,29 @@ impl Ctx {
             shape,
             range: Interval::new(tmin as i128, tmax as i128),
             spec: Some(lut.out_spec),
+            cert: x.cert.map(|c| self.gelu_cert(i, name, lut, x.range, c)),
         })
     }
+}
+
+impl State {
+    /// The state after an op that moves values without changing them: no
+    /// local error.
+    fn moved(self) -> State {
+        State { cert: self.cert.map(|c| Cert { local: 0.0, ..c }), ..self }
+    }
+}
+
+/// The parameters of a conv/linear layer that its analysis reads.
+struct Mac<'a> {
+    weight: &'a Tensor<i32>,
+    bias: Option<&'a [i64]>,
+    requant: Option<&'a MulQuant>,
+    relu: bool,
+    weight_spec: QuantSpec,
+    /// How findings name the output axis and its requantizer channel
+    /// count.
+    axis: (&'static str, &'static str),
 }
 
 fn mq_channel_mismatch(mq: &MulQuant, oc: usize) -> bool {

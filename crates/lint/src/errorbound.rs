@@ -1,10 +1,12 @@
 //! Static quantization-error certification: sound float↔int divergence
 //! bounds over [`IntModel`] graphs.
 //!
-//! A second abstract interpretation next to [`crate::analyze`]: where the
-//! interval pass bounds *values*, this pass bounds, per tensor edge, the
-//! worst-case divergence `|float_reference − dequant(int_value)|` in that
-//! edge's own code units ("steps").
+//! The certificate is the error half of the one graph walk in
+//! [`crate::analyze`]: next to each edge's proven value interval, the walk
+//! carries a bound on the worst-case divergence
+//! `|float_reference − dequant(int_value)|` in that edge's own code units
+//! ("steps"). This module holds that error arithmetic, the certificate
+//! report and its `T2C6xx` findings.
 //!
 //! **Reference semantics.** The float reference is the family of
 //! real-arithmetic evaluations of the *same* graph in which every stored
@@ -14,9 +16,10 @@
 //! exact function values, `round_shift` replaced by exact division, and
 //! the input quantizer replaced by exact real division (clamped, not
 //! rounded). The certified bound dominates the divergence against *every*
-//! member of that family — in particular against the center member the
-//! serving runtime's dual-path audit evaluates, which is how the audit
-//! doubles as a soundness canary.
+//! member of that family. The serving runtime's dual-path audit is not one
+//! of them: it compares the compiled plan against the integer interpreter,
+//! so it checks plan↔interpreter agreement against the bound, not
+//! quantization error.
 //!
 //! **Composition.** Per MAC layer and output channel `c` with `K` MACs,
 //! incoming error `e_in`, per-tensor input magnitude envelope `|x|` (from
@@ -38,16 +41,21 @@
 //! normalization ops (LayerNorm, softmax) use coarse grid-width bounds
 //! that are input-independent and keep every certificate finite.
 //!
+//! Where the interval analysis carries on past a finding that leaves the
+//! divergence unbounded (an accumulator, bmm envelope or pooled output
+//! that can leave `i32`), the certificate stops: that node gets a T2C601
+//! and every node downstream an infinite bound with no further finding.
+//!
 //! DESIGN.md §6.11 derives each rule and its soundness argument.
 
-use t2c_core::intmodel::{IntNode, IntOp, LinearWeight, Src};
-use t2c_core::lut::GELU_LIPSCHITZ;
+use t2c_core::intmodel::IntOp;
+use t2c_core::lut::{GeluLut, GELU_LIPSCHITZ};
 use t2c_core::{FixedScalar, IntModel, MulQuant, QuantSpec};
 use t2c_export::{CertifiedError, ExportManifest};
 use t2c_obs::report::{json_num, json_str};
-use t2c_tensor::Tensor;
 
-use crate::interval::{round_shift_i128, slice_min_max, Interval};
+use crate::analyze::{walk, Channel, Ctx};
+use crate::interval::Interval;
 use crate::{Diagnostic, LintReport, Rule, Severity};
 
 /// Schema version of `ErrorReport::to_json` documents.
@@ -231,20 +239,31 @@ fn fmt_steps(v: f64) -> String {
     }
 }
 
-fn maxabs(r: Interval) -> f64 {
+pub(crate) fn maxabs(r: Interval) -> f64 {
     let m = r.lo.unsigned_abs().max(r.hi.unsigned_abs());
     m as f64
 }
 
-/// Dataflow state of one tensor edge: value interval (mirroring
-/// `analyze`), cumulative error bound, and declared absolute scale when
-/// the graph carries one.
-#[derive(Debug, Clone)]
-struct EState {
-    shape: Vec<usize>,
-    range: Interval,
-    err: f64,
-    scale: Option<f64>,
+/// The error state of one tensor edge: the cumulative bound, the part the
+/// producing node introduced itself, and the edge's absolute scale when
+/// the graph declares one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cert {
+    /// Cumulative bound on `|reference − int|`, in this edge's steps.
+    pub(crate) err: f64,
+    /// The part introduced by the producing node (rounding, parameter
+    /// half-ulps, table error, clamp overshoot).
+    pub(crate) local: f64,
+    /// Declared absolute scale (Quantize / LUT outputs and their
+    /// shape-preserving descendants).
+    pub(crate) scale: Option<f64>,
+}
+
+impl Cert {
+    /// The bound in absolute units, when the edge's scale is declared.
+    fn abs(self) -> Option<f64> {
+        self.scale.map(|sc| self.err * sc)
+    }
 }
 
 /// Runs the quantization-error certifier over `model` and returns the
@@ -256,69 +275,44 @@ pub fn certify_model(
     cfg: ErrorBoundConfig,
     tag: &str,
 ) -> (ErrorReport, LintReport) {
-    let mut c = Certifier { diags: Vec::new(), layers: Vec::new(), local: 0.0 };
-
-    let input_state = match model.nodes.first().map(|n| &n.op) {
-        Some(IntOp::Quantize { scale, spec }) => Some(EState {
-            shape: input_shape.to_vec(),
-            range: Interval::of_spec(*spec),
-            err: 0.5,
-            scale: Some(*scale as f64),
-        }),
-        _ => None,
-    };
-    if input_state.is_none() {
-        c.uncertifiable(
+    let mut diags = Vec::new();
+    if !matches!(model.nodes.first().map(|n| &n.op), Some(IntOp::Quantize { .. })) {
+        diags.push(uncertifiable(
             0,
             "model",
             "the graph does not start with a Quantize node declaring the input grid",
-        );
+        ));
     }
-
-    let mut states: Vec<Option<EState>> = Vec::with_capacity(model.len());
-    for (i, node) in model.nodes.iter().enumerate() {
-        let operand = |idx: usize| -> Option<EState> {
-            match node.inputs.get(idx)? {
-                Src::Input => input_state.clone(),
-                Src::Node(id) if *id < i => states.get(*id).and_then(Clone::clone),
-                Src::Node(_) => None,
-            }
-        };
-        let state = c.certify_op(i, node, operand(0), operand(1), input_state.as_ref());
-        let (steps, local, abs, width) = match &state {
-            Some(s) => (
-                s.err,
-                c.take_local(),
-                s.scale.map(|sc| s.err * sc),
-                (s.range.width().min(i64::MAX as i128)) as f64,
-            ),
-            None => (f64::INFINITY, f64::INFINITY, None, 1.0),
-        };
-        c.layers.push(LayerErrorBound {
+    let (ctx, states) = walk(model, input_shape);
+    diags.extend(ctx.cert);
+    // Each node's error state and proven range, where its certificate holds.
+    let certs: Vec<Option<(Cert, Interval)>> =
+        states.iter().map(|s| s.as_ref().and_then(|s| Some((s.cert?, s.range)))).collect();
+    let per_layer = model
+        .nodes
+        .iter()
+        .zip(&certs)
+        .enumerate()
+        .map(|(i, (node, cert))| LayerErrorBound {
             id: i,
             name: node.name.clone(),
             op: node.op.label(),
-            steps,
-            local_steps: local,
-            abs,
-            grid_width: width,
-        });
-        states.push(state);
-    }
-
-    let end = states.last().and_then(Option::as_ref);
-    let end_steps = end.map_or(f64::INFINITY, |s| s.err);
-    let end_abs = end.and_then(|s| s.scale.map(|sc| s.err * sc));
-    let mut report = ErrorReport {
+            steps: cert.map_or(f64::INFINITY, |(c, _)| c.err),
+            local_steps: cert.map_or(f64::INFINITY, |(c, _)| c.local),
+            abs: cert.and_then(|(c, _)| c.abs()),
+            grid_width: cert.map_or(1.0, |(_, r)| r.width().min(i64::MAX as i128) as f64),
+        })
+        .collect();
+    let end = certs.last().copied().flatten().map(|(c, _)| c);
+    let report = ErrorReport {
         tag: tag.to_owned(),
         tolerance_steps: cfg.tolerance_steps,
-        per_layer: c.layers,
-        end_to_end_steps: end_steps,
-        end_to_end_abs: end_abs,
+        per_layer,
+        end_to_end_steps: end.map_or(f64::INFINITY, |c| c.err),
+        end_to_end_abs: end.and_then(Cert::abs),
     };
     if model.is_empty() {
-        report.end_to_end_steps = f64::INFINITY;
-        c.diags.push(Diagnostic::global(
+        diags.push(Diagnostic::global(
             Rule::Uncertifiable,
             Severity::Error,
             "model",
@@ -330,7 +324,7 @@ pub fn certify_model(
         let worst = report.worst_layer();
         let (wname, wid) = worst.map_or(("model", 0), |l| (l.name.as_str(), l.id));
         let wlocal = worst.map_or(0.0, |l| l.local_steps);
-        c.diags.push(Diagnostic::node(
+        diags.push(Diagnostic::node(
             Rule::ErrorBudgetExceeded,
             Severity::Error,
             wid,
@@ -344,7 +338,7 @@ pub fn certify_model(
             "re-derive the layer's requantizer from the calibrated scale chain, or raise the tolerance if the budget was optimistic",
         ));
     }
-    let lint = LintReport { tag: tag.to_owned(), diagnostics: c.diags, nodes: Vec::new() };
+    let lint = LintReport { tag: tag.to_owned(), diagnostics: diags, nodes: Vec::new() };
     (report, lint)
 }
 
@@ -382,45 +376,60 @@ pub fn lint_certified(report: &ErrorReport, manifest: &ExportManifest, tag: &str
     LintReport { tag: tag.to_owned(), diagnostics: diags, nodes: Vec::new() }
 }
 
-struct Certifier {
-    diags: Vec<Diagnostic>,
-    layers: Vec<LayerErrorBound>,
-    // Local error of the node just certified (taken by the driver loop).
-    local: f64,
+/// A T2C601 finding: no divergence bound exists at node `i`.
+fn uncertifiable(i: usize, name: &str, why: &str) -> Diagnostic {
+    Diagnostic::node(
+        Rule::Uncertifiable,
+        Severity::Error,
+        i,
+        name,
+        format!("cannot certify a float↔int divergence bound: {why}"),
+        "fix the structural finding lint_model reports for this node, or shrink the accumulator so the overflow proof closes",
+    )
 }
 
-impl Certifier {
-    fn take_local(&mut self) -> f64 {
-        std::mem::replace(&mut self.local, 0.0)
-    }
+/// Overshoot of the worst-case pre-clamp interval beyond the output grid —
+/// divergence the int path clamps away but the unclamped reference keeps.
+pub(crate) fn overshoot(mapped: Interval, spec: QuantSpec) -> f64 {
+    let (glo, ghi) = spec.range();
+    let under = (glo as i128).saturating_sub(mapped.lo).max(0);
+    let over = mapped.hi.saturating_sub(ghi as i128).max(0);
+    under.max(over) as f64
+}
 
-    fn uncertifiable(&mut self, i: usize, name: &str, why: &str) {
-        self.diags.push(Diagnostic::node(
-            Rule::Uncertifiable,
-            Severity::Error,
-            i,
-            name,
-            format!("cannot certify a float↔int divergence bound: {why}"),
-            "fix the structural finding lint_model reports for this node, or shrink the accumulator so the overflow proof closes",
-        ));
-    }
+/// Error after one fixed-point multiply/shift `m` (AddRequant branches,
+/// BmmRequant, Requant) over an input range `r` carrying error `e_in`,
+/// against the half-ulp family of `m`.
+pub(crate) fn edge_err(m: FixedScalar, r: Interval, e_in: f64) -> f64 {
+    m.mul_shift_error_bound(maxabs(r), e_in)
+}
 
-    /// Overshoot of the worst-case pre-clamp interval beyond the output
-    /// grid — divergence the int path clamps away but the unclamped
-    /// reference keeps.
-    fn overshoot(mapped: Interval, spec: QuantSpec) -> f64 {
-        let (glo, ghi) = spec.range();
-        let under = (glo as i128).saturating_sub(mapped.lo).max(0);
-        let over = mapped.hi.saturating_sub(ghi as i128).max(0);
-        under.max(over) as f64
+/// The half-ulp of `m` amplified by the range `r` (the T2C604 term).
+pub(crate) fn half_ulp(m: FixedScalar, r: Interval) -> f64 {
+    0.5 * m.format.step() * maxabs(r)
+}
+
+impl Ctx {
+    /// Files T2C601 for node `i` when its certificate was still `live`:
+    /// a finding upstream already ended it, and no second one is filed.
+    pub(crate) fn lose_certificate(&mut self, live: bool, i: usize, name: &str, why: &str) {
+        if live {
+            self.cert.push(uncertifiable(i, name, why));
+        }
     }
 
     /// T2C604: fires when the multiplier half-ulp term dominates a layer's
     /// local error — the scale chain amplifies quantization error faster
     /// than rounding does.
-    fn check_scale_amplification(&mut self, i: usize, name: &str, half_ulp: f64, local: f64) {
+    pub(crate) fn check_scale_amplification(
+        &mut self,
+        i: usize,
+        name: &str,
+        half_ulp: f64,
+        local: f64,
+    ) {
         if half_ulp > 1.0 && half_ulp > 0.5 * local {
-            self.diags.push(Diagnostic::node(
+            self.cert.push(Diagnostic::node(
                 Rule::ScaleErrorAmplification,
                 Severity::Warn,
                 i,
@@ -437,9 +446,15 @@ impl Certifier {
 
     /// T2C603: a LUT whose own table/domain error dominates the budget at
     /// its node.
-    fn check_lut_domination(&mut self, i: usize, name: &str, lut_local: f64, total: f64) {
+    pub(crate) fn check_lut_domination(
+        &mut self,
+        i: usize,
+        name: &str,
+        lut_local: f64,
+        total: f64,
+    ) {
         if lut_local > 1.0 && lut_local >= 0.5 * total {
-            self.diags.push(Diagnostic::node(
+            self.cert.push(Diagnostic::node(
                 Rule::LutErrorDominates,
                 Severity::Warn,
                 i,
@@ -454,368 +469,85 @@ impl Certifier {
         }
     }
 
-    /// Shared MAC-layer composition for conv/linear (dense or densified):
-    /// returns the output range and error, or `None` (with T2C601) when
-    /// the accumulator may saturate.
+    /// The error state after a conv/linear layer of `per` MACs per output
+    /// (plus a bias when `biased`) whose per-channel accumulators over the
+    /// input range `x` are `chans` and whose requantized pre-clamp channel
+    /// images are `mapped`; the worst channel sets the bound. `None`, with
+    /// T2C601, when an accumulator may saturate or a requantization product
+    /// leaves `i64`.
     #[allow(clippy::too_many_arguments)]
-    fn mac_error(
+    pub(crate) fn mac_cert(
         &mut self,
         i: usize,
         name: &str,
-        weight: &Tensor<i32>,
-        oc: usize,
-        x_range: Interval,
-        e_in: f64,
-        bias: Option<&[i64]>,
+        chans: &[Channel],
         requant: Option<&MulQuant>,
-        relu: bool,
-    ) -> Option<(Interval, f64)> {
-        let ws = weight.as_slice();
-        let per = ws.len() / oc.max(1);
-        let x_abs = maxabs(x_range);
-        let mut out: Option<Interval> = None;
-        let mut worst_err = 0.0f64;
-        let mut worst_local = 0.0f64;
-        let mut worst_half_ulp = 0.0f64;
-        for ch in 0..oc {
-            // Exact per-channel accumulator interval and partial-sum
-            // envelope, mirroring analyze::mac_channels.
-            let (mut lo, mut hi) = (0i128, 0i128);
-            let (mut env_lo, mut env_hi) = (0i128, 0i128);
-            let mut abs_w_sum = 0.0f64;
-            for &w in &ws[ch * per..(ch + 1) * per] {
-                let a = w as i128 * x_range.lo;
-                let b = w as i128 * x_range.hi;
-                let (cl, chi) = (a.min(b), a.max(b));
-                lo += cl;
-                hi += chi;
-                env_lo += cl.min(0);
-                env_hi += chi.max(0);
-                abs_w_sum += w.unsigned_abs() as f64;
-            }
-            // The runtime broadcasts the last entry; an empty bias adds nothing.
-            let bv = bias.and_then(|b| b.get(ch).or(b.last())).map_or(0, |&b| i128::from(b));
-            let fin = Interval::new(lo + bv, hi + bv);
-            let env = Interval::new(env_lo + bv.min(0), env_hi + bv.max(0));
-            if !fin.fits_i32() || !env.fits_i32() {
-                self.uncertifiable(
-                    i,
-                    name,
-                    &format!(
-                        "channel {ch} accumulator can reach {} (envelope {}), outside i32 — the saturating MAC array clips by an unbounded amount",
-                        fin.union(env),
-                        env
-                    ),
-                );
-                return None;
-            }
+        mapped: &[Option<Interval>],
+        (per, biased): (usize, bool),
+        x: Interval,
+        e_in: f64,
+    ) -> Option<Cert> {
+        let hot = chans.iter().enumerate().find(|(_, c)| !c.fin.fits_i32() || !c.env.fits_i32());
+        if let Some((ch, c)) = hot {
+            let why = format!(
+                "channel {ch} accumulator can reach {} (envelope {}), outside i32 — the saturating MAC array clips by an unbounded amount",
+                c.fin.union(c.env),
+                c.env
+            );
+            self.lose_certificate(true, i, name, &why);
+            return None;
+        }
+        let x_abs = maxabs(x);
+        let (mut err, mut local, mut worst_half_ulp) = (0.0f64, 0.0f64, 0.0f64);
+        for (ch, c) in chans.iter().enumerate() {
             // Weight half-ulp error amplified by the per-MAC input
             // magnitude envelope, plus the incoming error through |w|.
-            let e_acc =
-                abs_w_sum * e_in + 0.5 * per as f64 * (x_abs + e_in) + f64::from(bias.is_some());
-            let acc_abs = maxabs(fin);
-            let (range_ch, err_ch, local_ch, half_ulp) = match requant {
+            let e_acc = c.abs_w * e_in + 0.5 * per as f64 * (x_abs + e_in) + f64::from(biased);
+            let acc_abs = maxabs(c.fin);
+            let (err_ch, local_ch, half_ulp) = match requant {
                 Some(mq) => {
-                    let ci = ch.min(mq.scale_raw.len() - 1);
-                    let (mlo, mhi) = mq.map_range(fin.lo as i64, fin.hi as i64, ci);
-                    let mut mapped = Interval::new(mlo as i128, mhi as i128);
-                    if relu {
-                        mapped = mapped.relu();
-                    }
-                    let ov = Self::overshoot(mapped, mq.out_spec);
-                    let e = mq.error_bound_steps(ci, acc_abs, e_acc) + ov;
-                    let propagated = mq.scale_abs(ci) * abs_w_sum * e_in;
-                    let half_ulp = 0.5 * mq.step() * acc_abs;
-                    (mapped.clamp_to(mq.out_spec), e, e - propagated, half_ulp)
+                    let Some(m) = mapped[ch] else {
+                        let why = format!("channel {ch} requantization product leaves i64");
+                        self.lose_certificate(true, i, name, &why);
+                        return None;
+                    };
+                    let e = mq.error_bound_steps(ch, acc_abs, e_acc) + overshoot(m, mq.out_spec);
+                    let propagated = mq.scale_abs(ch) * c.abs_w * e_in;
+                    (e, e - propagated, 0.5 * mq.step() * acc_abs)
                 }
-                None => (fin, e_acc, e_acc - abs_w_sum * e_in, 0.0),
+                None => (e_acc, e_acc - c.abs_w * e_in, 0.0),
             };
-            out = Some(match out {
-                Some(o) => o.union(range_ch),
-                None => range_ch,
-            });
-            if err_ch > worst_err {
-                worst_err = err_ch;
-                worst_local = local_ch;
+            if err_ch > err {
+                err = err_ch;
+                local = local_ch;
                 worst_half_ulp = half_ulp;
             }
         }
-        self.local = worst_local;
-        self.check_scale_amplification(i, name, worst_half_ulp, worst_local);
-        Some((out.unwrap_or(Interval::point(0)), worst_err))
+        self.check_scale_amplification(i, name, worst_half_ulp, local);
+        Some(Cert { err, local, scale: None })
     }
 
-    /// One `FixedScalar` requant edge (AddRequant branches, BmmRequant,
-    /// Requant): mul/shift error against the half-ulp family plus clamp
-    /// overshoot, with the mapped interval computed exactly.
-    fn fixed_edge(m: FixedScalar, r: Interval, e_in: f64) -> (Interval, f64) {
-        let (lo, hi) = m.map_range(r.lo as i64, r.hi as i64);
-        (Interval::new(lo as i128, hi as i128), m.mul_shift_error_bound(maxabs(r), e_in))
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn certify_op(
+    /// The error state after a GELU table over an input range `x`: the
+    /// exact table error (entries vs the real gelu, clamp included) plus
+    /// the incoming error and any out-of-domain overhang amplified by the
+    /// GELU Lipschitz constant.
+    pub(crate) fn gelu_cert(
         &mut self,
         i: usize,
-        node: &IntNode,
-        in0: Option<EState>,
-        in1: Option<EState>,
-        input_state: Option<&EState>,
-    ) -> Option<EState> {
-        let name = node.name.clone();
-        // Structural problems (dangling/forward sources, arity) are
-        // lint_model's to report; here they simply end the certificate.
-        for src in &node.inputs {
-            if let Src::Node(id) = src {
-                if *id >= i {
-                    self.uncertifiable(i, &name, "the node reads a dangling or forward source");
-                    return None;
-                }
-            }
-        }
-        if let IntOp::Quantize { .. } = &node.op {
-            if i > 0 {
-                // Passthrough of the model input (analyze warns).
-                return input_state.cloned();
-            }
-            let s = input_state?;
-            self.local = s.err;
-            return Some(s.clone());
-        }
-        // The output shape comes from core's shared shape rule; an
-        // operand missing upstream ends the certificate silently.
-        let dims: Vec<&[usize]> = [&in0, &in1][..node.op.arity()]
-            .iter()
-            .map(|s| s.as_ref().map(|s| s.shape.as_slice()))
-            .collect::<Option<_>>()?;
-        let shape = match node.op.out_dims(&dims) {
-            Ok(shape) => shape,
-            Err(e) => {
-                self.uncertifiable(i, &name, &format!("shape inference failed: {e}"));
-                return None;
-            }
-        };
-        match &node.op {
-            IntOp::Quantize { .. } => unreachable!("handled above"),
-            IntOp::Conv2d { weight, bias, spec, requant, relu, weight_spec: _ } => {
-                let x = in0?;
-                let xr = if spec.padding > 0 { x.range.include_zero() } else { x.range };
-                let (range, err) = self.mac_error(
-                    i,
-                    &name,
-                    weight,
-                    shape[1],
-                    xr,
-                    x.err,
-                    bias.as_deref(),
-                    Some(requant),
-                    *relu,
-                )?;
-                Some(EState { shape, range, err, scale: None })
-            }
-            IntOp::Linear { weight, bias, requant, relu, .. } => {
-                let x = in0?;
-                if let LinearWeight::Sparse { mat, .. } = weight {
-                    if mat.validate().is_err() {
-                        self.uncertifiable(i, &name, "the sparse weight fails validation");
-                        return None;
-                    }
-                }
-                let (range, err) = self.mac_error(
-                    i,
-                    &name,
-                    &weight.to_dense(),
-                    shape[shape.len() - 1],
-                    x.range,
-                    x.err,
-                    bias.as_deref(),
-                    requant.as_ref(),
-                    *relu,
-                )?;
-                Some(EState { shape, range, err, scale: None })
-            }
-            IntOp::AddRequant { m_a, m_b, out_spec, relu } => {
-                let (a, b) = (in0?, in1?);
-                let (ra, ea) = Self::fixed_edge(*m_a, a.range, a.err);
-                let (rb, eb) = Self::fixed_edge(*m_b, b.range, b.err);
-                let mut mapped = ra + rb;
-                if *relu {
-                    mapped = mapped.relu();
-                }
-                let ov = Self::overshoot(mapped, *out_spec);
-                let err = ea + eb + ov;
-                self.local = err - m_a.magnitude() * a.err - m_b.magnitude() * b.err;
-                self.check_scale_amplification(
-                    i,
-                    &name,
-                    0.5 * m_a.format.step() * maxabs(a.range)
-                        + 0.5 * m_b.format.step() * maxabs(b.range),
-                    self.local,
-                );
-                Some(EState { shape, range: mapped.clamp_to(*out_spec), err, scale: None })
-            }
-            IntOp::AddConstRequant { value, m, out_spec } => {
-                let a = in0?;
-                let (cmin, cmax) = slice_min_max(value.as_slice());
-                let sum = a.range + Interval::new(cmin as i128, cmax as i128);
-                // The stored constant stands for a real within ½ code.
-                let (mapped, e) = Self::fixed_edge(*m, sum, a.err + 0.5);
-                let ov = Self::overshoot(mapped, *out_spec);
-                let err = e + ov;
-                self.local = err - m.magnitude() * a.err;
-                Some(EState { shape, range: mapped.clamp_to(*out_spec), err, scale: None })
-            }
-            // Shape-only ops move values without changing them (max over a
-            // window is 1-Lipschitz in the ∞-norm).
-            IntOp::MaxPool2d { .. }
-            | IntOp::Flatten
-            | IntOp::PatchToTokens
-            | IntOp::TakeToken { .. }
-            | IntOp::SplitHeads { .. }
-            | IntOp::MergeHeads { .. } => Some(EState { shape, ..in0? }),
-            IntOp::GlobalAvgPool { frac_bits } => {
-                let x = in0?;
-                let hw = (x.shape[2] * x.shape[3]).max(1);
-                let m = (((1i64 << (16 + *frac_bits as i64)) as f64) / hw as f64).round();
-                let sum = x.range.scale(hw as i128);
-                let product = sum.scale(m as i128);
-                if !product.fits_i64() {
-                    self.uncertifiable(i, &name, "the pooling product leaves i64");
-                    return None;
-                }
-                let out = Interval::new(
-                    round_shift_i128(product.lo, 16),
-                    round_shift_i128(product.hi, 16),
-                );
-                if !out.fits_i32() {
-                    self.uncertifiable(i, &name, "the pooled output leaves i32");
-                    return None;
-                }
-                // Sum error ≤ hw·e_in through the multiplier, the
-                // reciprocal's rounding (≤ ½ raw) amplified by the sum, and
-                // the final rounding shift.
-                let err = 0.5 + (m / 65536.0) * hw as f64 * x.err + maxabs(sum) * 0.5 / 65536.0;
-                self.local = err - (m / 65536.0) * hw as f64 * x.err;
-                Some(EState {
-                    shape,
-                    range: out,
-                    err,
-                    scale: x.scale.map(|s| s / f64::from(1u32 << *frac_bits)),
-                })
-            }
-            IntOp::ConcatToken { token } => {
-                let x = in0?;
-                let (tmin, tmax) = slice_min_max(token.as_slice());
-                // The stored token stands for a real within ½ code.
-                let err = x.err.max(0.5);
-                self.local = 0.5;
-                Some(EState {
-                    shape,
-                    range: x.range.union(Interval::new(tmin as i128, tmax as i128)),
-                    err,
-                    scale: x.scale,
-                })
-            }
-            IntOp::BmmRequant { m, out_spec, .. } => {
-                let (a, b) = (in0?, in1?);
-                let k = a.shape[2];
-                let product = a.range * b.range;
-                let envelope =
-                    Interval::new(product.lo.min(0) * k as i128, product.hi.max(0) * k as i128);
-                if !envelope.fits_i32() {
-                    self.uncertifiable(
-                        i,
-                        &name,
-                        "the bmm accumulator envelope leaves i32 — the saturating MAC array clips by an unbounded amount",
-                    );
-                    return None;
-                }
-                // Both operands are data tensors: error of a product of
-                // perturbed factors, summed over the contraction.
-                let e_acc =
-                    k as f64 * (maxabs(a.range) * b.err + maxabs(b.range) * a.err + a.err * b.err);
-                let acc = product.scale(k as i128);
-                let (mapped, e) = Self::fixed_edge(*m, acc, e_acc);
-                let ov = Self::overshoot(mapped, *out_spec);
-                let err = e + ov;
-                self.local = err - m.magnitude() * e_acc;
-                self.check_scale_amplification(
-                    i,
-                    &name,
-                    0.5 * m.format.step() * maxabs(acc),
-                    self.local,
-                );
-                Some(EState { shape, range: mapped.clamp_to(*out_spec), err, scale: None })
-            }
-            IntOp::Requant { m, out_spec } => {
-                let x = in0?;
-                let (mapped, e) = Self::fixed_edge(*m, x.range, x.err);
-                let ov = Self::overshoot(mapped, *out_spec);
-                let err = e + ov;
-                self.local = err - m.magnitude() * x.err;
-                self.check_scale_amplification(
-                    i,
-                    &name,
-                    0.5 * m.format.step() * maxabs(x.range),
-                    self.local,
-                );
-                Some(EState { shape, range: mapped.clamp_to(*out_spec), err, scale: None })
-            }
-            IntOp::LayerNorm(ln) => {
-                // Coarse, input-independent: both the int path and the
-                // grid-clamped reference land on the declared output grid,
-                // so their divergence is at most the grid width. This also
-                // *resets* the incoming error — normalization re-anchors
-                // the scale chain.
-                let err = ln.out_spec.width() as f64;
-                self.local = err;
-                Some(EState { shape, range: Interval::of_spec(ln.out_spec), err, scale: None })
-            }
-            IntOp::SoftmaxLut(lut) => {
-                if lut.table.is_empty() {
-                    self.uncertifiable(i, &name, "the softmax exp table is empty");
-                    return None;
-                }
-                // Probabilities: both the int path and the reference live
-                // in [0, qmax] by construction, so the grid width is a
-                // sound, input-independent bound (and an error reset).
-                let err = lut.out_spec.qmax() as f64;
-                self.local = err;
-                self.check_lut_domination(i, &name, err, err);
-                Some(EState {
-                    shape,
-                    range: Interval::new(0, lut.out_spec.qmax() as i128),
-                    err,
-                    scale: Some(f64::from(lut.out_scale())),
-                })
-            }
-            IntOp::GeluLut(lut) => {
-                let x = in0?;
-                let expected = lut.in_spec.width() as usize + 1;
-                if lut.table.len() < expected {
-                    self.uncertifiable(i, &name, "the GELU table does not cover the input grid");
-                    return None;
-                }
-                let out_scale = f64::from(lut.out_scale.max(f32::MIN_POSITIVE));
-                let in_scale = f64::from(lut.in_scale);
-                // Exact table error (entries vs the real gelu, clamp
-                // included) plus the incoming error and any out-of-domain
-                // overhang amplified by the GELU Lipschitz constant.
-                let overhang = Self::overshoot(x.range, lut.in_spec);
-                let table_steps = lut.max_table_error() / out_scale;
-                let amplified = GELU_LIPSCHITZ * (x.err + overhang) * in_scale.abs() / out_scale;
-                let err = table_steps + amplified;
-                self.local = table_steps + GELU_LIPSCHITZ * overhang * in_scale.abs() / out_scale;
-                self.check_lut_domination(i, &name, self.local, err);
-                let (tmin, tmax) = slice_min_max(&lut.table);
-                Some(EState {
-                    shape,
-                    range: Interval::new(tmin as i128, tmax as i128),
-                    err,
-                    scale: Some(f64::from(lut.out_scale)),
-                })
-            }
-        }
+        name: &str,
+        lut: &GeluLut,
+        x: Interval,
+        c: Cert,
+    ) -> Cert {
+        let out_scale = f64::from(lut.out_scale.max(f32::MIN_POSITIVE));
+        let in_scale = f64::from(lut.in_scale);
+        let overhang = overshoot(x, lut.in_spec);
+        let table_steps = lut.max_table_error() / out_scale;
+        let amplified = GELU_LIPSCHITZ * (c.err + overhang) * in_scale.abs() / out_scale;
+        let err = table_steps + amplified;
+        let local = table_steps + GELU_LIPSCHITZ * overhang * in_scale.abs() / out_scale;
+        self.check_lut_domination(i, name, local, err);
+        Cert { err, local, scale: Some(f64::from(lut.out_scale)) }
     }
 }
 

@@ -499,13 +499,17 @@ proptest! {
         let _ = certify_model(&model, &input, ErrorBoundConfig::default(), "random");
         let trace = Accelerator::new(model.clone(), AcceleratorConfig::dense16x16()).trace(&input);
         prop_assert_eq!(shapes.is_ok(), trace.is_ok());
-        if shapes.is_ok() {
+        if let Ok(shapes) = &shapes {
             // A graph the static walk accepts has no structural lint error.
             let structural = lint.diagnostics.iter().any(|d| {
                 d.severity == Severity::Error
                     && ["T2C002", "T2C003", "T2C004", "T2C005"].contains(&d.rule.id())
             });
             prop_assert!(!structural, "{:?}\n{}", lint.diagnostics, model.summary());
+            // One shape rule: every shape lint derived is the static walk's.
+            for node in lint.nodes.iter().filter(|n| !n.shape.is_empty()) {
+                prop_assert_eq!(&node.shape, &shapes[node.id], "node {}\n{}", node.id, model.summary());
+            }
         }
     }
 }
