@@ -16,7 +16,10 @@
 //! batching to amortize. Pacing restores a deterministic measurement of
 //! the win batching exists for: fewer invocations of a device whose
 //! per-dispatch cost does not shrink with smarter host code. The
-//! unpaced sweep is still measured and recorded as telemetry.
+//! unpaced sweep is still measured and recorded as telemetry. Every
+//! config keeps the runtime's default flush window
+//! (`BatchConfig::default()`, 0 ns), so batches fill from the backlog
+//! rather than by waiting.
 //!
 //! ```sh
 //! cargo run --release -p t2c-bench --bin loadgen            # full sweep + zoo
@@ -73,7 +76,7 @@ fn run_config(
 ) -> RunResult {
     let admitted = registry.get(model).expect("model admitted");
     let cfg = ServerConfig {
-        batch: BatchConfig { max_batch, max_delay_ns: 200_000, queue_cap: 4096 },
+        batch: BatchConfig { max_batch, queue_cap: 4096, ..BatchConfig::default() },
         workers: 2,
         pace_batch_ns,
         ..ServerConfig::default()
