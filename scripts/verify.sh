@@ -55,7 +55,9 @@
 #      schema-valid cluster_loadgen.json
 #   11. clean tree: the timing reports of steps 5 and 7–10 carry
 #      timestamps, so their binaries run from a temporary directory and
-#      are checked there; the run must leave `git status` as it found it
+#      are checked there; the five gate reports are then copied to the
+#      git-ignored .bench_build/bench_results/ (which CI uploads), and the
+#      run must leave `git status` as it found it
 set -euo pipefail
 cd "$(dirname "$0")/.."
 status_before=$(git status --porcelain)
@@ -171,6 +173,11 @@ for key in version bench created_unix device_paced pace_batch_ns configs \
     grep -q "\"$key\"" "$cluster_report" || { echo "missing key '$key' in $cluster_report"; exit 1; }
 done
 grep -q '"pass": true' "$cluster_report" || { echo "$cluster_report did not pass"; exit 1; }
+
+# Keep this run's gate reports where CI uploads them (git-ignored).
+mkdir -p .bench_build/bench_results
+cp "$serve_report" "$sparse_report" "$pack_report" "$plan_report" "$cluster_report" \
+    .bench_build/bench_results/
 
 echo "==> the run left the tree as it found it"
 status_after=$(git status --porcelain)
