@@ -6,6 +6,11 @@
 //! bit for bit. This crate proves the load-bearing parts of that promise
 //! **statically**, before anything reaches an RTL testbench:
 //!
+//! Items 1, 3 and 5 below are one walk over the graph ([`analyze`]): per
+//! node it computes the shape, the proven interval and the certified
+//! error state together, and [`lint_model`] and [`certify_model`] each
+//! report the findings that belong to them.
+//!
 //! 1. **Interval dataflow** ([`analyze`]) — per-tensor (and, through
 //!    conv/linear accumulators, per-channel) value ranges are propagated
 //!    from the declared [`t2c_core::QuantSpec`] grids through every
@@ -24,12 +29,11 @@
 //! 4. **Export cross-checks** ([`manifest`]) — an
 //!    [`t2c_export::ExportManifest`] must agree with the analyzed graph on
 //!    node names, element counts and bit widths.
-//! 5. **Quantization-error certification** ([`errorbound`]) — a second
-//!    abstract interpretation propagates a *sound* bound on
+//! 5. **Quantization-error certification** ([`errorbound`]) — the walk
+//!    also propagates a *sound* bound on
 //!    `|float_reference − dequant(int_value)|` per tensor, yielding a
 //!    per-layer and end-to-end [`ErrorReport`] plus the `T2C6xx` rule
-//!    family; `t2c-serve` gates admission on it and the runtime dual-path
-//!    audit doubles as its soundness canary.
+//!    family; `t2c-serve` gates admission on it.
 //!
 //! Every finding is a [`Diagnostic`] carrying a stable [`Rule`] id, a
 //! [`Severity`], the layer name and a fix hint. The `t2c-check` binary

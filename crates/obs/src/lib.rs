@@ -271,9 +271,11 @@ impl Drop for Timer {
 ///
 /// The serving runtime layers a second use on top: when the audited model
 /// carries a static quantization-error certificate (DESIGN.md §6.11), the
-/// sampled dual-path check also compares observed absolute divergence
-/// against the certified bound, turning steady traffic into a soundness
-/// canary for the certifier itself (`serve.audit_certificate_violations`).
+/// sampled plan↔interpreter check also compares observed absolute
+/// divergence against the certified bound
+/// (`serve.audit_certificate_violations`). Both audited paths are
+/// integer, so this catches plan or kernel faults, not quantization
+/// error.
 ///
 /// ```
 /// let audit = t2c_obs::SampledAudit::new(3);

@@ -35,7 +35,8 @@
 //! Admission additionally runs the quantization-error certifier
 //! (`t2c_lint::certify_model`, DESIGN.md §6.11) and stores the certified
 //! end-to-end float↔int divergence bound on the [`AdmittedModel`] — the
-//! sampled dual-path audit uses it as a soundness canary. A registry
+//! sampled dual-path audit compares plan↔interpreter divergence against
+//! it. A registry
 //! built with [`ModelRegistry::with_error_tolerance`] turns the
 //! certificate into a gate: models whose certified bound exceeds the
 //! tolerance (or that are uncertifiable) are refused with the `T2C60x`
@@ -158,7 +159,8 @@ impl AdmittedModel {
     }
 
     /// Maps integer input codes back to floats (`codes · scale`) — the
-    /// dual-path audit uses this to re-enter the float path.
+    /// dual-path audit uses this to re-enter `IntModel::run`, which
+    /// requantizes them.
     pub fn dequantize(&self, codes: &Tensor<i32>) -> Tensor<f32> {
         let scale = self.input_scale;
         codes.map(|c| c as f32 * scale)
@@ -167,8 +169,10 @@ impl AdmittedModel {
     /// The certified end-to-end error bound (final-output code units) the
     /// model was admitted under, when admission could prove a finite one.
     /// `None` for `admit_unchecked` models and uncertifiable graphs. The
-    /// sampled dual-path audit treats observed divergence beyond this
-    /// bound as a soundness violation (`serve.audit_certificate_violations`).
+    /// sampled dual-path audit counts plan↔interpreter divergence beyond
+    /// this bound in `serve.audit_certificate_violations`; both paths are
+    /// integer, so that counter flags plan or kernel faults, not
+    /// quantization error.
     pub fn certified_error_steps(&self) -> Option<f64> {
         self.certified_steps
     }
@@ -428,7 +432,7 @@ impl ModelRegistry {
     ) -> Result<Gated, AdmissionError> {
         // Certify the float↔int divergence bound at admission: the walk is
         // cheap (one interval pass) and the resulting bound feeds the
-        // dual-path audit's soundness canary even when no tolerance is
+        // dual-path audit's violation counter even when no tolerance is
         // configured. Its findings join the gate only when the registry
         // was built with an error budget — a report-only default keeps
         // existing admissions byte-identical.

@@ -66,7 +66,8 @@ pub struct ServerConfig {
     /// quarantines it.
     pub max_panics: u32,
     /// Dual-path audit sampling period: every Nth completed request is
-    /// re-run through the float path and compared (0 = audit off).
+    /// re-run from its de-quantized input through the interpreter and
+    /// compared (0 = audit off).
     pub audit_every: u64,
     /// Circuit-breaker cooldown: how long a poisoned model stays open
     /// before the breaker goes half-open and admits a single recovery
@@ -235,7 +236,7 @@ pub struct StatsSnapshot {
     /// Audit measurements rejected for being non-finite (NaN/∞) — an
     /// audit-path fault rather than a divergence observation.
     pub audits_invalid: u64,
-    /// Worst normalized integer-vs-float divergence seen by the audit.
+    /// Worst normalized plan-vs-interpreter divergence seen by the audit.
     pub max_audit_divergence: f64,
     /// Requests sitting in the admission queue at snapshot time.
     pub queue_depth: u64,
@@ -695,20 +696,22 @@ fn process_batch(shared: &Arc<Shared>, tickets: Vec<Ticket<Job>>, arena: &mut Ar
 }
 
 /// Dual-path divergence audit: de-quantizes the sampled request's integer
-/// codes, re-runs them through the model's *float-entry* path
-/// (`IntModel::run`, i.e. requantize → same graph, unbatched) and compares
-/// against the rows the batched integer path produced. Any divergence is a
-/// batching-invariance or quantize-path fault; the worst normalized error
-/// lands in the `serve.<model>.dualpath_max_err` gauge and the stats
-/// snapshot.
+/// codes and re-runs them through `IntModel::run`, which requantizes them
+/// and executes the same integer graph in the reference interpreter,
+/// unbatched. It compares the result against the rows the batched
+/// compiled plan produced. Any divergence is a plan, batching-invariance
+/// or quantize-path fault; the worst normalized error lands in the
+/// `serve.<model>.dualpath_max_err` gauge and the stats snapshot.
 ///
-/// The audit doubles as a soundness canary for the static error
-/// certificate the model was admitted under (DESIGN.md §6.11): the float
-/// path is one member of the reference family the certificate dominates,
-/// so observed absolute divergence (in final code units) beyond the
-/// certified bound means either the certifier or the kernels are wrong —
-/// it fires `serve.audit_certificate_violations` and the
-/// `serve.<model>.cert_violation_steps` gauge.
+/// Both sides are integer paths, so the audit does not measure
+/// quantization error. It compares the plan↔interpreter divergence (in
+/// final code units) against the static error certificate the model was
+/// admitted under (DESIGN.md §6.11): divergence beyond the certified
+/// bound fires `serve.audit_certificate_violations` and the
+/// `serve.<model>.cert_violation_steps` gauge. The plan and the
+/// interpreter are bit-identical, so a violation means a plan or kernel
+/// fault; it does not test whether the certificate bounds the float
+/// reference.
 fn audit_request(
     shared: &Arc<Shared>,
     model: &Arc<AdmittedModel>,
@@ -719,8 +722,8 @@ fn audit_request(
     let float_input = model.dequantize(codes);
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| model.model().run(&float_input)));
     let Ok(Ok(reference)) = outcome else {
-        // The float path failing where the integer path succeeded is
-        // itself maximal divergence.
+        // The interpreter failing where the plan succeeded is itself
+        // maximal divergence.
         shared.stats.note_audit(1.0);
         t2c_obs::counter_add("serve.audit_divergences", 1);
         t2c_obs::gauge_set(&format!("serve.{}.dualpath_max_err", model.name()), 1.0);
