@@ -397,21 +397,18 @@ impl Ctx {
         let ws = weight.as_slice();
         let oc = weight.dim(0);
         let per = ws.len() / oc.max(1);
-        if let Some((min, max)) = ws.iter().fold(None, |mm: Option<(i32, i32)>, &w| {
-            Some(mm.map_or((w, w), |(lo, hi)| (lo.min(w), hi.max(w))))
-        }) {
-            if !weight_spec.contains(min as i64) || !weight_spec.contains(max as i64) {
-                self.push(Diagnostic::node(
-                    Rule::WeightOffGrid,
-                    Severity::Error,
-                    i,
-                    name,
-                    format!(
-                        "weight codes span [{min}, {max}], outside the declared {weight_spec} grid"
-                    ),
-                    "fix weight_spec or re-quantize the weights onto the declared grid",
-                ));
-            }
+        let (min, max) = slice_min_max(ws);
+        if !weight_spec.contains(min as i64) || !weight_spec.contains(max as i64) {
+            self.push(Diagnostic::node(
+                Rule::WeightOffGrid,
+                Severity::Error,
+                i,
+                name,
+                format!(
+                    "weight codes span [{min}, {max}], outside the declared {weight_spec} grid"
+                ),
+                "fix weight_spec or re-quantize the weights onto the declared grid",
+            ));
         }
         if let Some(b) = bias {
             if b.len() != oc && b.len() != 1 {
@@ -664,7 +661,6 @@ impl Ctx {
                     round_shift_i128(product.lo, 16),
                     round_shift_i128(product.hi, 16),
                 );
-                let mut cert = x.cert;
                 if !out.fits_i32() {
                     self.push(Diagnostic::node(
                         Rule::AccOverflow,
@@ -675,9 +671,8 @@ impl Ctx {
                         "lower frac_bits",
                     ));
                     self.lose_certificate(live, i, &name, "the pooled output leaves i32");
-                    cert = None;
                 }
-                let cert = cert.map(|c| {
+                let cert = x.cert.filter(|_| out.fits_i32()).map(|c| {
                     // Sum error ≤ hw·e_in through the multiplier, the
                     // reciprocal's rounding (≤ ½ raw) amplified by the sum,
                     // and the final rounding shift.
@@ -718,7 +713,6 @@ impl Ctx {
                 let product = a.range * b.range;
                 let envelope =
                     Interval::new(product.lo.min(0) * k as i128, product.hi.max(0) * k as i128);
-                let mut live = live;
                 if !envelope.fits_i32() {
                     self.push(Diagnostic::node(
                         Rule::AccOverflow,
@@ -736,13 +730,12 @@ impl Ctx {
                         &name,
                         "the bmm accumulator envelope leaves i32 — the saturating MAC array clips by an unbounded amount",
                     );
-                    live = false;
                 }
                 self.fixed_scalar_check(i, &name, *m, "bmm");
                 let acc = product.scale(k as i128);
                 let mapped = acc.map_fixed(*m);
                 let out = self.scale_chain(i, &name, mapped, *out_spec, "bmm_requant");
-                let cert = a.cert.zip(b.cert).filter(|_| live).map(|(ca, cb)| {
+                let cert = a.cert.zip(b.cert).filter(|_| envelope.fits_i32()).map(|(ca, cb)| {
                     // Both operands are data tensors: error of a product of
                     // perturbed factors, summed over the contraction.
                     let e_acc = k as f64
