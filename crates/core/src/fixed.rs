@@ -129,18 +129,6 @@ impl FixedScalar {
         round_shift(acc * self.raw as i64, self.format.frac_bits)
     }
 
-    /// Image of the closed interval `[lo, hi]` under [`FixedScalar::
-    /// mul_shift`], exactly as the hardware datapath computes it.
-    /// `mul_shift` is monotone in `acc` for non-negative multipliers and
-    /// antitone for negative ones, so the endpoint images bound the image
-    /// of every interior point — the soundness argument `t2c-lint`'s
-    /// interval dataflow rests on.
-    pub fn map_range(self, lo: i64, hi: i64) -> (i64, i64) {
-        let a = self.mul_shift(lo);
-        let b = self.mul_shift(hi);
-        (a.min(b), a.max(b))
-    }
-
     /// `|represented value|` as a real number.
     pub fn magnitude(self) -> f64 {
         (self.raw as f64 / (1i64 << self.format.frac_bits) as f64).abs()

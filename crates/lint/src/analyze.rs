@@ -1035,6 +1035,36 @@ mod tests {
     }
 
     #[test]
+    fn bmm_accumulator_beyond_i64_maps_without_overflow() {
+        // A signed-16 input through a bias-free, requant-free linear whose
+        // weights are shifted left by up to 22 bits: its accumulator
+        // envelope leaves i32, and the bmm of that output with itself has
+        // an accumulator envelope beyond i64 before its requant maps it.
+        let mut m = IntModel::new();
+        m.push("input", quantize(QuantSpec::signed(16)), vec![]);
+        m.push(
+            "wide",
+            IntOp::Linear {
+                weight: Tensor::from_fn(&[8, 8], |i| ((i as i32 % 5) - 2) << (22 - i % 3)).into(),
+                bias: None,
+                requant: None,
+                relu: false,
+                weight_spec: QuantSpec::signed(26),
+            },
+            vec![Src::Input],
+        );
+        let m_q = FixedPointFormat::int16_frac12().quantize(0.75);
+        let bmm = IntOp::BmmRequant { transpose_rhs: true, m: m_q, out_spec: QuantSpec::signed(8) };
+        m.push("scores", bmm, vec![Src::Node(1), Src::Node(1)]);
+        let report = lint_model(&m, &[1, 4, 8], "wide-bmm");
+        assert!(ids(&report).contains(&"T2C101"), "got {:?}", ids(&report));
+        // The requant's image is computed exactly and then clamped onto the
+        // output grid — a wrapped product would leave a garbage range.
+        let scores = &report.nodes[2];
+        assert_eq!((scores.lo, scores.hi), (-128, 127), "{}", report.to_text());
+    }
+
+    #[test]
     fn injected_shift_mismatch_fires_t2c201_error() {
         let mut m = clean_conv_model();
         // Corrupt the requantizer: same format label, but the raw multiplier

@@ -91,13 +91,15 @@ impl Interval {
         self.lo >= lo as i128 && self.hi <= hi as i128
     }
 
-    /// Image under a fixed-point multiply/shift, exactly as the hardware
-    /// computes it. Caller must have proven the interval fits `i64`
-    /// (in practice: fits `i32`, the accumulator width).
+    /// Image under a fixed-point multiply/shift with the datapath's
+    /// round-half-up, computed in `i128` so an accumulator envelope that
+    /// has already left `i32` (or `i64`) maps exactly instead of
+    /// overflowing. The map is monotone for a non-negative multiplier and
+    /// antitone for a negative one, so the endpoint images bound the image
+    /// of every interior point.
     pub fn map_fixed(self, m: FixedScalar) -> Interval {
-        debug_assert!(self.fits_i64());
-        let (lo, hi) = m.map_range(self.lo as i64, self.hi as i64);
-        Interval { lo: lo as i128, hi: hi as i128 }
+        let f = |acc: i128| round_shift_i128(acc * i128::from(m.raw), m.format.frac_bits);
+        Interval::new(f(self.lo), f(self.hi))
     }
 }
 
