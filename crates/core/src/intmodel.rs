@@ -1091,7 +1091,7 @@ fn pick_encoding(weight: &Tensor<i32>, value_sparsity: f32) -> Option<SparseMat>
 /// i64, so `acc + bias` can exceed the i64 range the naive `+` assumes),
 /// and the result is clamped onto the i32 accumulator rails. An empty bias
 /// is a no-op rather than an index underflow.
-fn add_channel_bias(acc: &Tensor<i32>, bias: &[i64], ch_axis: usize) -> Tensor<i32> {
+pub(crate) fn add_channel_bias(acc: &Tensor<i32>, bias: &[i64], ch_axis: usize) -> Tensor<i32> {
     if bias.is_empty() {
         return acc.clone();
     }
@@ -1140,10 +1140,10 @@ pub(crate) fn requant_per_tensor(
     acc.map(|v| requant_scalar(v, m, spec, relu))
 }
 
-/// One per-tensor requant step — shared by the interpreter's map and the
-/// plan executor's slice loops so both produce identical bits.
+/// One per-tensor requant step of the interpreter (compiled plans run
+/// the same arithmetic as a one-channel epilogue).
 #[inline]
-pub(crate) fn requant_scalar(v: i32, m: FixedScalar, spec: QuantSpec, relu: bool) -> i32 {
+fn requant_scalar(v: i32, m: FixedScalar, spec: QuantSpec, relu: bool) -> i32 {
     let mut s = m.mul_shift(v as i64);
     if relu {
         s = s.max(0);

@@ -91,7 +91,8 @@ impl MulQuant {
     /// Requantizes one accumulator value for channel `ch`, optionally
     /// applying the integer ReLU (`max(0, ·)`) before the clamp — the
     /// exact per-element computation of [`MulQuant::apply`], exposed as a
-    /// scalar so fused-kernel epilogues can call it per output element.
+    /// scalar: the per-element reference that compiled plan epilogues are
+    /// tested against.
     pub fn apply_scalar_relu(&self, acc: i32, ch: usize, relu: bool) -> i32 {
         let i = ch.min(self.scale_raw.len() - 1);
         let v =

@@ -7,10 +7,17 @@
 //! 1. **Fusion.** Every `Linear` (dense or sparse) / `Conv2d` node — which
 //!    the reference interpreter runs as up to four full-tensor passes (MAC,
 //!    channel bias, `MulQuant` requant + ReLU, optionally a following
-//!    `GeluLut`) — becomes one fused step. The kernels of
-//!    `t2c_tensor::fused` apply the whole epilogue per output element as
-//!    it leaves the accumulator, so the wide `i32` intermediate never
-//!    materializes. Dense linear weights are packed into GEMM panels
+//!    `GeluLut`) — becomes one fused step. Its epilogue is compiled into
+//!    flat per-output-channel constants (channel bias, multiplier,
+//!    pre-shift bias) plus scalars (shift, rounding half, a lower clamp
+//!    with the ReLU folded in, an upper clamp, the folded table). The
+//!    kernels of `t2c_tensor::fused` hand it each finished run of
+//!    accumulators — a conv channel row, a GEMM tile row, a sparse row
+//!    block — and it rewrites the run in place with flat loops that test
+//!    no option and resolve no channel index per value, so the wide `i32`
+//!    intermediate never materializes. `Requant` steps and `Bmm`'s in-place
+//!    requant run the same loop with one per-tensor channel. Dense linear
+//!    weights are packed into GEMM panels
 //!    **once, at compile time** — the panel layout belongs to the plan,
 //!    and the graph keeps its plain dense weights (the interpreter's dense
 //!    path transposes the weight on every call); sparse column indices are
@@ -40,12 +47,18 @@
 //!   per-MAC saturation chain of the unfused kernels untouched (see
 //!   `t2c_tensor::fused`); only *where* the finished accumulator is
 //!   written changes.
-//! * Every epilogue stage is the exact per-element scalar the interpreter
-//!   applies tensor-wide — the same `saturating_add`/clamp channel bias,
-//!   [`MulQuant::apply_scalar_relu`] requant and [`GeluLut::lookup`] —
-//!   and the non-fused steps call the very same slice cores
-//!   (`apply_into`, `max_pool_into`, …) that the interpreter's tensor
-//!   wrappers delegate to.
+//! * The compiled epilogue computes, per value, what the interpreter's
+//!   `add_channel_bias` → [`MulQuant::apply_scalar_relu`] →
+//!   [`GeluLut::lookup`] chain computes. Channel `c`'s constants are
+//!   resolved at compile time with the interpreter's index rule —
+//!   `bias[min(c, len−1)]` (an empty bias adds nothing),
+//!   `scale_raw[min(c, S−1)]`, `bias_raw[min(min(c, S−1), B−1)]` — and
+//!   the arithmetic keeps its association `(x·s + b) + half`. Channel
+//!   biases are pinned to `±2^32` first, which cannot change a
+//!   saturating add onto an `i32` accumulator, and ReLU-then-clamp
+//!   becomes one `max(lo).min(hi)`. The non-fused steps call the very
+//!   same slice cores (`apply_into`, `max_pool_into`, …) that the
+//!   interpreter's tensor wrappers delegate to.
 //!
 //! Plans are compiled **per sample shape**: batch-1 shapes are inferred
 //! once and every slot offset scales linearly with the runtime batch,
@@ -60,15 +73,14 @@
 
 use t2c_tensor::ops::{bmm_i32_sat_into, Conv2dSpec, PoolSpec};
 use t2c_tensor::{
-    conv2d_fused_into, gemm_fused_into, spmm_fused_into, ConvWeight, PackedMat, SparseMat, Tensor,
-    TensorError,
+    conv2d_fused_into, gemm_fused_into, spmm_fused_into, ConvWeight, PackedMat, RowChannels,
+    SparseMat, Tensor, TensorError,
 };
 
 use crate::fixed::FixedScalar;
 use crate::intmodel::{
     add_const_requant_scalar, add_requant_scalar, concat_token_into, global_avg_pool_into,
-    max_pool_into, requant_scalar, take_token_into, IntModel, IntOp, LayerNormInt, LinearWeight,
-    Src,
+    max_pool_into, take_token_into, IntModel, IntOp, LayerNormInt, LinearWeight, Src,
 };
 use crate::lut::{GeluLut, SoftmaxLut};
 use crate::mulquant::MulQuant;
@@ -105,36 +117,134 @@ impl Arena {
     }
 }
 
-/// The per-element tail of a fused MAC step: channel bias (saturating at
-/// the i32 accumulator rails), `MulQuant` requant with optional ReLU, and
-/// an optionally folded GELU table — each stage the exact scalar the
-/// interpreter applies tensor-wide.
+/// Channel biases are clamped to `±2^32` when an epilogue is compiled:
+/// any larger bias already pins every `i32` accumulator to the same rail
+/// under the interpreter's `saturating_add` + clamp, and a clamped one
+/// lets the plan add without saturating.
+const BIAS_PIN: i64 = 1 << 32;
+
+/// One output channel's constants in a compiled [`Epilogue`].
+#[derive(Debug, Clone, Copy)]
+struct ChannelConst {
+    /// Channel bias (pinned to `±BIAS_PIN`), 0 when the node has none.
+    bias: i64,
+    /// Fixed-point multiplier (`MulQuant::scale_raw`).
+    scale: i64,
+    /// Pre-shift fixed-point bias (`MulQuant::bias_raw`).
+    offset: i64,
+}
+
+/// The tail of a fused MAC step, compiled to flat per-channel constants:
+/// channel bias (saturating at the `i32` accumulator rails), `MulQuant`
+/// requant with the ReLU folded into its lower clamp, and an optionally
+/// folded GELU table. Each channel's constants are resolved once, at
+/// compile time, with the interpreter's index rule, and the fused kernels
+/// hand it whole runs of finished accumulators (see [`Epilogue::apply`]).
+/// `Requant` and `Bmm` steps use a one-channel epilogue with the node's
+/// per-tensor multiplier.
 #[derive(Debug, Clone)]
 struct Epilogue {
-    bias: Option<Vec<i64>>,
-    requant: Option<MulQuant>,
-    relu: bool,
+    channels: Vec<ChannelConst>,
+    shift: u32,
+    /// The round-half-up addend `2^(shift−1)` (0 when `shift` is 0).
+    half: i64,
+    /// Lower clamp: the output grid's `qmin`, raised to 0 under ReLU.
+    lo: i32,
+    /// Upper clamp: the output grid's `qmax`.
+    hi: i32,
     lut: Option<GeluLut>,
 }
 
 impl Epilogue {
-    #[inline]
-    fn apply(&self, acc: i32, ch: usize) -> i32 {
-        let mut v = acc;
-        if let Some(b) = &self.bias {
-            if !b.is_empty() {
-                v = i64::from(v)
-                    .saturating_add(b[ch.min(b.len() - 1)])
-                    .clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
+    /// Compiles a MAC node's tail for `channels` output channels. Channel
+    /// `c` takes `bias[min(c, len−1)]` (an empty or absent bias adds
+    /// nothing), `scale_raw[min(c, S−1)]` and `bias_raw[min(min(c, S−1),
+    /// B−1)]` — exactly [`MulQuant::apply_scalar_relu`]'s rule. Without a
+    /// requantizer the tail is the biased accumulator itself (multiplier
+    /// 1, no shift, clamped to the `i32` rails, ReLU ignored as the
+    /// interpreter ignores it).
+    fn compile(
+        channels: usize,
+        bias: Option<&[i64]>,
+        requant: Option<&MulQuant>,
+        relu: bool,
+        lut: Option<GeluLut>,
+    ) -> Self {
+        let channels = (0..channels)
+            .map(|c| {
+                let bias = match bias {
+                    Some(b) if !b.is_empty() => b[c.min(b.len() - 1)].clamp(-BIAS_PIN, BIAS_PIN),
+                    _ => 0,
+                };
+                let Some(r) = requant else { return ChannelConst { bias, scale: 1, offset: 0 } };
+                let i = c.min(r.scale_raw.len() - 1);
+                let (scale, offset) = (r.scale_raw[i], r.bias_raw[i.min(r.bias_raw.len() - 1)]);
+                ChannelConst { bias, scale: i64::from(scale), offset }
+            })
+            .collect();
+        let (shift, lo, hi) = match requant {
+            Some(r) => {
+                let qmin = r.out_spec.qmin();
+                let lo = if relu { qmin.max(0) } else { qmin };
+                (u32::from(r.format.frac_bits), lo, r.out_spec.qmax())
+            }
+            None => (0, i32::MIN, i32::MAX),
+        };
+        // `round_shift`'s addend, with a release build's shift semantics.
+        let half = if shift == 0 { 0 } else { 1i64.wrapping_shl(shift - 1) };
+        Epilogue { channels, shift, half, lo, hi, lut }
+    }
+
+    /// A one-channel epilogue for a per-tensor `FixedScalar` requant onto
+    /// `out_spec` (the interpreter's `requant_scalar` without ReLU).
+    fn per_tensor(m: FixedScalar, out_spec: QuantSpec) -> Self {
+        let mq = MulQuant { scale_raw: vec![m.raw], bias_raw: vec![0], format: m.format, out_spec };
+        Self::compile(1, None, Some(&mq), false, None)
+    }
+
+    /// Rewrites a finished run of accumulators in place with the narrow
+    /// outputs: `clamp((clamp_i32(acc + bias)·scale + offset + half) >>
+    /// shift, lo, hi)` per value, then the folded GELU table. The add
+    /// keeps the interpreter's association `(x·s + b) + half`, and
+    /// `max(lo).min(hi)` equals its ReLU-then-clamp, so every value is
+    /// bit-identical to the per-element chain.
+    ///
+    /// The shifted value is first saturated onto the `i32` rails, which
+    /// cannot change the result (`[lo, hi]` lies inside them) but lets the
+    /// output clamp run as its own pass of `i32` selects. Those compile to
+    /// branch-free vector code; clamping in the `i64` pass instead
+    /// compiles to branches that data near a ReLU or grid edge keeps
+    /// mispredicting.
+    fn apply(&self, run: &mut [i32], chans: RowChannels) {
+        let (shift, half) = (self.shift, self.half);
+        let (min, max) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        let wide = |acc: i32, k: &ChannelConst| -> i32 {
+            let v = (i64::from(acc) + k.bias).clamp(min, max);
+            ((v * k.scale + k.offset + half) >> shift).clamp(min, max) as i32
+        };
+        match chans {
+            RowChannels::One(c) => {
+                let k = self.channels[c];
+                for v in run.iter_mut() {
+                    *v = wide(*v, &k);
+                }
+            }
+            RowChannels::From(c0) => {
+                let consts = &self.channels[c0..c0 + run.len()];
+                for (v, k) in run.iter_mut().zip(consts) {
+                    *v = wide(*v, k);
+                }
             }
         }
-        if let Some(r) = &self.requant {
-            v = r.apply_scalar_relu(v, ch, self.relu);
+        let (lo, hi) = (self.lo, self.hi);
+        for v in run.iter_mut() {
+            *v = (*v).max(lo).min(hi);
         }
-        if let Some(l) = &self.lut {
-            v = l.lookup(v);
+        if let Some(lut) = &self.lut {
+            for v in run.iter_mut() {
+                *v = lut.lookup(*v);
+            }
         }
-        v
     }
 
     /// Graph nodes this epilogue absorbs beyond the MAC node itself.
@@ -212,8 +322,8 @@ enum Step {
     SplitHeads { src: Src, dst: usize, heads: usize, in_dims: [usize; 3] },
     /// `[N·H, L, Dh] → [N, L, H·Dh]`.
     MergeHeads { src: Src, dst: usize, heads: usize, in_dims: [usize; 3] },
-    /// Elementwise rescale between grids.
-    Requant { src: Src, dst: usize, m: FixedScalar, out_spec: QuantSpec },
+    /// Elementwise rescale between grids (a one-channel epilogue).
+    Requant { src: Src, dst: usize, epi: Epilogue },
     /// Integer LayerNorm over rows of `d`.
     LayerNorm { src: Src, dst: usize, ln: LayerNormInt, d: usize },
     /// LUT softmax over rows of `cols`.
@@ -221,14 +331,13 @@ enum Step {
     /// Standalone LUT GELU (one that could not be folded).
     Gelu { src: Src, dst: usize, lut: GeluLut },
     /// Batched matmul accumulated into the destination slot, then
-    /// requantized in place.
+    /// requantized in place by a one-channel epilogue.
     Bmm {
         a: Src,
         b: Src,
         dst: usize,
         transpose_rhs: bool,
-        m: FixedScalar,
-        out_spec: QuantSpec,
+        epi: Epilogue,
         a_dims: [usize; 3],
         b_dims: [usize; 3],
     },
@@ -382,9 +491,10 @@ impl IntModel {
         };
 
         let mut fused_nodes = 0usize;
-        // A MAC node's fused epilogue, counting the nodes it absorbs.
-        let mut epilogue = |i: usize, bias: &Option<Vec<i64>>, requant, relu: &bool| {
-            let epi = Epilogue { bias: bias.clone(), requant, relu: *relu, lut: lut_of(i) };
+        // A MAC node's fused epilogue over its `channels` outputs, counting
+        // the nodes it absorbs.
+        let mut epilogue = |i: usize, channels, bias: &Option<Vec<i64>>, requant, relu: &bool| {
+            let epi = Epilogue::compile(channels, bias.as_deref(), requant, *relu, lut_of(i));
             fused_nodes += 1 + epi.folded();
             epi
         };
@@ -400,7 +510,7 @@ impl IntModel {
             let step = match &node.op {
                 IntOp::Quantize { .. } => Step::InputAlias { dst },
                 IntOp::Linear { weight, bias, requant, relu, .. } => {
-                    let epi = epilogue(i, bias, requant.clone(), relu);
+                    let epi = epilogue(i, weight.dims()[0], bias, requant.as_ref(), relu);
                     let src = operand(0);
                     match weight {
                         LinearWeight::Dense(w) => {
@@ -424,7 +534,7 @@ impl IntModel {
                     }
                 }
                 IntOp::Conv2d { weight, bias, spec, requant, relu, .. } => {
-                    let epi = epilogue(i, bias, Some(requant.clone()), relu);
+                    let epi = epilogue(i, weight.dim(0), bias, Some(requant), relu);
                     let src = operand(0);
                     let (weight, in_dims) = (ConvWeight::new(weight, spec.groups)?, geo4(&src));
                     let need = weight.scratch_len(in_dims[2], in_dims[3], *spec)?;
@@ -486,8 +596,7 @@ impl IntModel {
                     Step::Bmm {
                         dst,
                         transpose_rhs: *transpose_rhs,
-                        m: *m,
-                        out_spec: *out_spec,
+                        epi: Epilogue::per_tensor(*m, *out_spec),
                         a_dims: geo3(&a),
                         b_dims: geo3(&b),
                         a,
@@ -495,7 +604,7 @@ impl IntModel {
                     }
                 }
                 IntOp::Requant { m, out_spec } => {
-                    Step::Requant { src: operand(0), dst, m: *m, out_spec: *out_spec }
+                    Step::Requant { src: operand(0), dst, epi: Epilogue::per_tensor(*m, *out_spec) }
                 }
                 IntOp::LayerNorm(ln) => {
                     let src = operand(0);
@@ -817,15 +926,15 @@ fn exec_step(
         Step::Gemm { src, weight, epi, .. } => {
             let x = rd(*src)?;
             let rows = x.len() / weight.k.max(1);
-            gemm_fused_into(x, rows, weight, &|acc, ch| epi.apply(acc, ch), dbuf)?;
+            gemm_fused_into(x, rows, weight, &|run, chans| epi.apply(run, chans), dbuf)?;
         }
         Step::Spmm { src, weight, cols, epi, .. } => {
             let x = rd(*src)?;
             let rows = x.len() / weight.cols.max(1);
-            spmm_fused_into(x, rows, weight, cols, &|acc, ch| epi.apply(acc, ch), dbuf)?;
+            spmm_fused_into(x, rows, weight, cols, &|run, chans| epi.apply(run, chans), dbuf)?;
         }
         Step::Conv { src, weight, spec, epi, in_dims, .. } => {
-            let epi = |acc, ch| epi.apply(acc, ch);
+            let epi = |run: &mut [i32], chans| epi.apply(run, chans);
             let x_dims = scale4(*in_dims, bs);
             conv2d_fused_into(rd(*src)?, x_dims, weight, *spec, &epi, scratch, dbuf)?;
         }
@@ -894,10 +1003,9 @@ fn exec_step(
                 }
             }
         }
-        Step::Requant { src, m, out_spec, .. } => {
-            for (o, &v) in dbuf.iter_mut().zip(rd(*src)?) {
-                *o = requant_scalar(v, *m, *out_spec, false);
-            }
+        Step::Requant { src, epi, .. } => {
+            dbuf.copy_from_slice(rd(*src)?);
+            epi.apply(dbuf, RowChannels::One(0));
         }
         Step::LayerNorm { src, ln, d, .. } => ln.apply_into(rd(*src)?, *d, dbuf),
         Step::Softmax { src, lut, cols, .. } => lut.apply_into(rd(*src)?, *cols, dbuf),
@@ -906,13 +1014,11 @@ fn exec_step(
                 *o = lut.lookup(v);
             }
         }
-        Step::Bmm { a, b, transpose_rhs, m, out_spec, a_dims, b_dims, .. } => {
+        Step::Bmm { a, b, transpose_rhs, epi, a_dims, b_dims, .. } => {
             let [batches, rows, k] = scale3(*a_dims, bs);
             let n = if *transpose_rhs { b_dims[1] } else { b_dims[2] };
             bmm_i32_sat_into(rd(*a)?, rd(*b)?, [batches, rows, k, n], *transpose_rhs, dbuf)?;
-            for o in dbuf.iter_mut() {
-                *o = requant_scalar(*o, *m, *out_spec, false);
-            }
+            epi.apply(dbuf, RowChannels::One(0));
         }
     }
     Ok(())
@@ -927,6 +1033,125 @@ mod tests {
 
     fn float_batch(dims: &[usize], seed: usize) -> Tensor<f32> {
         Tensor::from_fn(dims, move |i| ((i * 31 + seed * 17) % 211) as f32 * 0.01 - 1.0)
+    }
+
+    /// Accumulators from both rails inward: the extremes, small values
+    /// and a spread over the whole `i32` range.
+    fn accumulators(n: usize) -> Vec<i32> {
+        let edges = [i32::MIN, i32::MAX, 0, 1, -1, i32::MIN + 1, i32::MAX - 1];
+        (0..n)
+            .map(|i| match edges.get(i % 16) {
+                Some(&e) => e,
+                None if i % 3 == 0 => (i as i32 % 601) - 300,
+                None => (i as u32).wrapping_mul(2_654_435_761) as i32,
+            })
+            .collect()
+    }
+
+    /// One fused MAC tail: what a `Linear`/`Conv2d` node carries, plus a
+    /// folded GELU.
+    struct Tail {
+        tag: &'static str,
+        bias: Option<Vec<i64>>,
+        requant: Option<MulQuant>,
+        relu: bool,
+        lut: Option<GeluLut>,
+    }
+
+    /// The interpreter's chain on an `[…, C, inner]` accumulator tensor
+    /// (channel axis 1): `add_channel_bias` → `MulQuant::apply_scalar_relu`
+    /// → `GeluLut::lookup`, element by element.
+    fn oracle(acc: &Tensor<i32>, inner: usize, t: &Tail) -> Vec<i32> {
+        let c = acc.dim(1);
+        let biased = match &t.bias {
+            Some(b) => crate::intmodel::add_channel_bias(acc, b, 1),
+            None => acc.clone(),
+        };
+        let chain = |(i, &v): (usize, &i32)| {
+            let ch = (i / inner) % c;
+            let v = t.requant.as_ref().map_or(v, |r| r.apply_scalar_relu(v, ch, t.relu));
+            t.lut.as_ref().map_or(v, |l| l.lookup(v))
+        };
+        biased.as_slice().iter().enumerate().map(chain).collect()
+    }
+
+    #[test]
+    fn compiled_epilogue_matches_the_per_element_chain() {
+        let c = 5usize;
+        let mq = |scale: Vec<i32>, bias: Vec<i64>, frac: u8, out_spec| {
+            let format = FixedPointFormat { int_bits: 4, frac_bits: frac };
+            Some(MulQuant { scale_raw: scale, bias_raw: bias, format, out_spec })
+        };
+        let tail = |tag, bias: &Option<Vec<i64>>, requant, relu| Tail {
+            tag,
+            bias: bias.clone(),
+            requant,
+            relu,
+            lut: None,
+        };
+        let (s8, s16, u4) = (QuantSpec::signed(8), QuantSpec::signed(16), QuantSpec::unsigned(4));
+        let some = Some(vec![3, -40_000, 0, 1 << 20]);
+        let rails = Some(vec![i64::MAX, i64::MIN, i64::from(i32::MAX) - 1, -(1 << 33), 5]);
+        let tails = [
+            tail(
+                "per-tensor scale, per-channel bias_raw",
+                &some,
+                mq(vec![3000], vec![-5000, 0, 7000, 123_456, -99], 12, s8),
+                false,
+            ),
+            tail(
+                "per-channel scale, per-tensor bias_raw",
+                &some,
+                mq(vec![3000, -12, 1, 40_000, 7], vec![777], 12, s8),
+                false,
+            ),
+            tail("empty bias", &Some(vec![]), mq(vec![2500], vec![100], 12, s8), false),
+            tail("no requant (bare linear head)", &some, None, true),
+            tail("frac_bits 0", &None, mq(vec![1, -2, 3, 0, 5], vec![-3, 9], 0, s16), false),
+            tail("rail channel biases", &rails, mq(vec![4096], vec![0], 12, s16), true),
+            tail(
+                "negative multipliers",
+                &some,
+                mq(vec![-3000, -1, -65_536, -7, i32::MIN], vec![50, -50], 13, s16),
+                false,
+            ),
+            tail("relu, signed grid", &None, mq(vec![-700, 900], vec![3], 10, s8), true),
+            tail("relu, unsigned grid", &None, mq(vec![-700, 900], vec![3], 10, u4), true),
+            tail("unsigned grid", &some, mq(vec![300], vec![0], 10, u4), false),
+            Tail {
+                lut: Some(GeluLut::build(s8, 0.02, s8, 0.02)),
+                ..tail(
+                    "folded gelu",
+                    &some,
+                    mq(vec![2000, -2000, 50], vec![4000, 0], 12, s8),
+                    false,
+                )
+            },
+        ];
+        for t in &tails {
+            let epi =
+                Epilogue::compile(c, t.bias.as_deref(), t.requant.as_ref(), t.relu, t.lut.clone());
+            // Conv-row form: `[N, C, L]`, each channel row handed over whole.
+            let l = 23;
+            let acc = Tensor::from_vec(accumulators(2 * c * l), &[2, c, l]).unwrap();
+            let want = oracle(&acc, l, t);
+            let mut got = acc.as_slice().to_vec();
+            for (r, row) in got.chunks_mut(l).enumerate() {
+                epi.apply(row, RowChannels::One(r % c));
+            }
+            assert_eq!(got, want, "{}: conv rows", t.tag);
+            // GEMM-column form: `[R, C]`, each row cut into runs of two
+            // consecutive channels, as tile rows cut it at panel bounds.
+            let acc = Tensor::from_vec(accumulators(37 * c), &[37, c]).unwrap();
+            let want = oracle(&acc, 1, t);
+            let mut got = acc.as_slice().to_vec();
+            for row in got.chunks_mut(c) {
+                for (k, run) in row.chunks_mut(2).enumerate() {
+                    epi.apply(run, RowChannels::From(2 * k));
+                }
+            }
+            assert_eq!(got, want, "{}: gemm columns", t.tag);
+        }
     }
 
     #[test]
@@ -954,7 +1179,7 @@ mod tests {
         let plan = model.compile(&dims).unwrap();
         let x = float_batch(&[4, dims[1]], 7);
         let want = with_threads(1, || model.run(&x).unwrap());
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 4] {
             let got = with_threads(threads, || plan.run(&x, &mut Arena::new()).unwrap());
             assert_eq!(got.as_slice(), want.as_slice(), "threads {threads}");
         }

@@ -1,15 +1,19 @@
 //! Fused integer kernels: the packed/sparse GEMM tile loops and a
-//! row-oriented convolution, each with a caller-supplied per-element
-//! epilogue.
+//! row-oriented convolution, each with a caller-supplied row epilogue.
 //!
 //! Compiled execution plans (`t2c-core`'s `plan` module) collapse the
 //! interpreter's `MAC → bias → requant → activation` node chain into a
 //! single kernel call. The GEMM kernels here are the same cache-blocked
-//! loops as [`crate::packed`] and [`crate::sparse`], except that at the
-//! moment an output element leaves the per-worker accumulator it passes
-//! through `epi(acc, out_channel)` and the **narrow** requantized value is
-//! written to the caller's buffer — the wide `i32` accumulator block never
-//! materializes as a full tensor.
+//! loops as [`crate::packed`] and [`crate::sparse`], except that as soon as
+//! a run of accumulators is finished it is written to the caller's buffer
+//! and handed to `epi(run, channels)`, which rewrites it in place with the
+//! **narrow** requantized values while it is still in cache — the wide
+//! `i32` accumulator block never materializes as a full tensor. A run is
+//! one GEMM tile row (consecutive output channels starting at a panel
+//! boundary, [`RowChannels::From`]), one conv output-channel row or one
+//! block of sparse-GEMM rows of a single output channel
+//! ([`RowChannels::One`]); handing the epilogue whole runs lets it resolve
+//! per-channel constants once per run and run flat loops over the values.
 //!
 //! [`conv2d_fused_into`] works in the orientation of the interpreter's
 //! [`crate::ops::conv2d_i32`]: for each `(image, group)` unit it unrolls
@@ -17,19 +21,20 @@
 //! scratch (a 1×1, stride-1, unpadded convolution reads the image itself,
 //! which already is that block), then accumulates each output channel's
 //! row as `w[o, p] · cols[p, :]` with `p` ascending and applies the
-//! epilogue as the row is finished. No group is padded to a panel, so a
-//! depthwise unit costs its `kh·kw` rows and nothing more.
+//! epilogue to the row as it is finished. No group is padded to a panel,
+//! so a depthwise unit costs its `kh·kw` rows and nothing more.
 //!
 //! # Bit-identity
 //!
 //! The accumulation order is untouched: for any fixed output element the
 //! reduction index still ascends with the same per-MAC saturation chain as
 //! the unfused kernels (see the `packed`/`sparse` module docs and
-//! `conv2d_i32`), and the epilogue is a pure per-element function of the
-//! finished accumulator and its output channel — exactly what the
-//! interpreter's separate bias/requant/LUT passes compute element-wise.
-//! Workers own disjoint output units, so results are bit-identical to the
-//! unfused chain at any thread count.
+//! `conv2d_i32`). Every entry point requires its epilogue to map each
+//! value of a run to a pure function of that value and its output channel
+//! — exactly what the interpreter's separate bias/requant/LUT passes
+//! compute element-wise — so how the kernel cuts its output into runs
+//! cannot change a bit. Workers own disjoint output units, so results are
+//! bit-identical to the unfused chain at any thread count.
 //!
 //! The convolution carries the same saturation-free fast path as the
 //! packed GEMM: [`ConvWeight`] stores each output channel's `Σ|w|`, and
@@ -60,13 +65,29 @@ use crate::parallel::{num_threads, par_units};
 use crate::sparse::{spmm_into, SparseMat};
 use crate::{Result, Tensor, TensorError};
 
+/// The output channels of a finished run of accumulators handed to a fused
+/// kernel's epilogue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowChannels {
+    /// Every value of the run belongs to this output channel (a conv
+    /// output-channel row, or a block of sparse-GEMM rows).
+    One(usize),
+    /// Value `j` of the run belongs to output channel `start + j` (a GEMM
+    /// tile row).
+    From(usize),
+}
+
 /// Packed GEMM with fused epilogue: `[rows, w.k]` activations (`x`, row
-/// major) × packed `[w.n, w.k]` weight, writing
-/// `epi(acc[i][j], j)` into `out[i * w.n + j]`.
+/// major) × packed `[w.n, w.k]` weight into `out[i * w.n + j]`.
 ///
-/// Bit-identical to [`crate::packed::matmul_i32_sat_packed`] followed by
-/// an element-wise `epi` pass, at any thread count. Performs no heap
-/// allocation when the resolved worker count is 1.
+/// Each finished tile row — the accumulators of one activation row for
+/// the up-to-[`PANEL`] consecutive output channels of one weight panel —
+/// is written to `out` and then passed to `epi(run, RowChannels::From(c))`,
+/// `c` the panel's first channel, which must rewrite every value as a pure
+/// function of that value and its channel. Bit-identical to
+/// [`crate::packed::matmul_i32_sat_packed`] followed by that element-wise
+/// map, at any thread count. Performs no heap allocation when the resolved
+/// worker count is 1.
 ///
 /// # Errors
 ///
@@ -80,7 +101,7 @@ pub fn gemm_fused_into<E>(
     out: &mut [i32],
 ) -> Result<()>
 where
-    E: Fn(i32, usize) -> i32 + Sync,
+    E: Fn(&mut [i32], RowChannels) + Sync,
 {
     let (n, k) = (w.n, w.k);
     if x.len() != rows * k || out.len() != rows * n {
@@ -104,9 +125,9 @@ where
                 packed_tile(&x[(row0 + r0) * k..], rblk, k, pdata, w.panel_max[t], &mut tile);
                 for r in 0..rblk {
                     let obase = (r0 + r) * n + t * PANEL;
-                    for (j, ov) in run[obase..obase + cols].iter_mut().enumerate() {
-                        *ov = epi(tile[r * PANEL + j], t * PANEL + j);
-                    }
+                    let orow = &mut run[obase..obase + cols];
+                    orow.copy_from_slice(&tile[r * PANEL..r * PANEL + cols]);
+                    epi(orow, RowChannels::From(t * PANEL));
                 }
             }
             r0 += rblk;
@@ -116,13 +137,17 @@ where
 }
 
 /// Sparse skip-zero matmul with fused epilogue: `[rows, w.cols]`
-/// activations × compressed `[w.rows, w.cols]` weight, writing
-/// `epi(acc[i][j], j)` into `out[i * w.rows + j]`.
+/// activations × compressed `[w.rows, w.cols]` weight into
+/// `out[i * w.rows + j]`.
 ///
-/// `cols` must be `w.col_indices()` precomputed by the caller (plans do
-/// this at compile time so the steady state allocates nothing).
-/// Bit-identical to [`crate::sparse::matmul_sparse_i`] followed by an
-/// element-wise `epi` pass, at any thread count.
+/// The kernel finishes one output channel `j` for a block of up to 16
+/// activation rows at a time and passes those accumulators to
+/// `epi(run, RowChannels::One(j))`, which must rewrite every value as a
+/// pure function of that value and the channel; the results are then
+/// scattered to their rows. `cols` must be `w.col_indices()` precomputed
+/// by the caller (plans do this at compile time so the steady state
+/// allocates nothing). Bit-identical to [`crate::sparse::matmul_sparse_i`]
+/// followed by that element-wise map, at any thread count.
 ///
 /// # Errors
 ///
@@ -137,7 +162,7 @@ pub fn spmm_fused_into<E>(
     out: &mut [i32],
 ) -> Result<()>
 where
-    E: Fn(i32, usize) -> i32 + Sync,
+    E: Fn(&mut [i32], RowChannels) + Sync,
 {
     let (n_out, k) = (w.rows, w.cols);
     if x.len() != rows * k || out.len() != rows * n_out {
@@ -232,13 +257,15 @@ impl ConvWeight {
 }
 
 /// 2-D convolution with fused epilogue: `x` (an `[N,C,H,W]` image batch,
-/// row-major, shape `x_dims`) ⊛ `w`, writing `epi(acc, oc)` (where `oc`
-/// is the output channel) into `out` in `[N,OC,OH,OW]` order.
+/// row-major, shape `x_dims`) ⊛ `w` into `out` in `[N,OC,OH,OW]` order.
 ///
-/// `scratch` must hold at least [`ConvWeight::scratch_len`] words; its
-/// contents are overwritten. Bit-identical to [`crate::ops::conv2d_i32`]
-/// followed by an element-wise `epi` pass, at any thread count. Performs
-/// no heap allocation when the resolved worker count is 1.
+/// Each finished `[OH·OW]` row of output channel `o` of one image is
+/// passed to `epi(row, RowChannels::One(o))`, which must rewrite every
+/// value as a pure function of that value and the channel. `scratch` must
+/// hold at least [`ConvWeight::scratch_len`] words; its contents are
+/// overwritten. Bit-identical to [`crate::ops::conv2d_i32`] followed by
+/// that element-wise map, at any thread count. Performs no heap
+/// allocation when the resolved worker count is 1.
 ///
 /// # Errors
 ///
@@ -254,7 +281,7 @@ pub fn conv2d_fused_into<E>(
     out: &mut [i32],
 ) -> Result<()>
 where
-    E: Fn(i32, usize) -> i32 + Sync,
+    E: Fn(&mut [i32], RowChannels) + Sync,
 {
     let [n, c, h, wd] = x_dims;
     let (g, cg, kh, kw) = (w.groups, w.cg, w.kh, w.kw);
@@ -297,9 +324,7 @@ where
         for (oi, orow) in ounit.chunks_mut(l).enumerate() {
             let o = grp * ocg + oi;
             conv_row(&w.data[o * k..(o + 1) * k], w.abs_sum[o], xmax, cols, orow);
-            for v in orow.iter_mut() {
-                *v = epi(*v, o);
-            }
+            epi(orow, RowChannels::One(o));
         }
     };
     if num_threads().min(n * g) <= 1 {
@@ -419,12 +444,26 @@ mod tests {
         })
     }
 
-    /// A channel-dependent epilogue exercising bias, shift and clamp.
-    fn epi(acc: i32, ch: usize) -> i32 {
+    /// A channel-dependent element map exercising bias, shift and clamp.
+    fn elem(acc: i32, ch: usize) -> i32 {
         let v = i64::from(acc) + (ch as i64 % 7) - 3;
         let v = (v + 8) >> 4;
         v.clamp(-128, 127) as i32
     }
+
+    /// [`elem`] as a row epilogue, resolving each value's channel from the
+    /// run's [`RowChannels`].
+    fn epi(run: &mut [i32], chans: RowChannels) {
+        for (j, v) in run.iter_mut().enumerate() {
+            let ch = match chans {
+                RowChannels::One(c) => c,
+                RowChannels::From(c0) => c0 + j,
+            };
+            *v = elem(*v, ch);
+        }
+    }
+
+    fn identity(_: &mut [i32], _: RowChannels) {}
 
     #[test]
     fn fused_gemm_matches_unfused_plus_map() {
@@ -437,7 +476,7 @@ mod tests {
                 .as_slice()
                 .iter()
                 .enumerate()
-                .map(|(i, &v)| epi(v, i % n))
+                .map(|(i, &v)| elem(v, i % n))
                 .collect();
             for threads in [1, 2, 4] {
                 let mut out = vec![0i32; m * n];
@@ -468,7 +507,7 @@ mod tests {
             .as_slice()
             .iter()
             .enumerate()
-            .map(|(i, &v)| epi(v, i % 70))
+            .map(|(i, &v)| elem(v, i % 70))
             .collect();
         for threads in [1, 4] {
             let mut out = vec![0i32; 4 * 70];
@@ -491,7 +530,7 @@ mod tests {
                 .as_slice()
                 .iter()
                 .enumerate()
-                .map(|(i, &v)| epi(v, i % n))
+                .map(|(i, &v)| elem(v, i % n))
                 .collect();
             for threads in [1, 2, 4] {
                 let mut out = vec![0i32; m * n];
@@ -531,7 +570,7 @@ mod tests {
                     .as_slice()
                     .iter()
                     .enumerate()
-                    .map(|(i, &v)| epi(v, (i / l) % oc))
+                    .map(|(i, &v)| elem(v, (i / l) % oc))
                     .collect();
                 let weight = ConvWeight::new(&w, spec.groups).unwrap();
                 let need = weight.scratch_len(xd[2], xd[3], spec).unwrap();
@@ -564,14 +603,14 @@ mod tests {
         let packed = PackedMat::from_weight(&w).unwrap();
         let mut out = vec![0i32; 16];
         // Activation length disagrees with rows * k.
-        assert!(gemm_fused_into(&[0i32; 9], 2, &packed, &|a, _| a, &mut out).is_err());
+        assert!(gemm_fused_into(&[0i32; 9], 2, &packed, &identity, &mut out).is_err());
         // Output length disagrees with rows * n.
-        assert!(gemm_fused_into(&[0i32; 10], 2, &packed, &|a, _| a, &mut [0i32; 3]).is_err());
+        assert!(gemm_fused_into(&[0i32; 10], 2, &packed, &identity, &mut [0i32; 3]).is_err());
 
         let sp = SparseMat::from_dense(&w).unwrap();
         let cols = sp.col_indices();
-        assert!(spmm_fused_into(&[0i32; 9], 2, &sp, &cols, &|a, _| a, &mut out).is_err());
-        assert!(spmm_fused_into(&[0i32; 10], 2, &sp, &cols[1..], &|a, _| a, &mut out).is_err());
+        assert!(spmm_fused_into(&[0i32; 9], 2, &sp, &cols, &identity, &mut out).is_err());
+        assert!(spmm_fused_into(&[0i32; 10], 2, &sp, &cols[1..], &identity, &mut out).is_err());
 
         let cw = ConvWeight::new(&pseudo_i(&[4, 2, 3, 3], 1, 20), 2).unwrap();
         let x = [0i32; 4 * 6 * 6];
@@ -579,7 +618,7 @@ mod tests {
         let mut scratch = vec![0i32; cw.scratch_len(6, 6, spec).unwrap()];
         let mut out = vec![0i32; 4 * 6 * 6];
         let run = |dims, spec, scratch: &mut [i32], out: &mut [i32]| {
-            conv2d_fused_into(&x, dims, &cw, spec, &|a, _| a, scratch, out)
+            conv2d_fused_into(&x, dims, &cw, spec, &identity, scratch, out)
         };
         run([1, 4, 6, 6], spec, &mut scratch, &mut out).unwrap();
         // Groups disagree with the weight.

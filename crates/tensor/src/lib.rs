@@ -44,7 +44,7 @@ pub mod rng;
 pub mod sparse;
 
 pub use error::TensorError;
-pub use fused::{conv2d_fused_into, gemm_fused_into, spmm_fused_into, ConvWeight};
+pub use fused::{conv2d_fused_into, gemm_fused_into, spmm_fused_into, ConvWeight, RowChannels};
 pub use packed::{matmul_i32_sat_packed, PackedMat};
 pub use parallel::{num_threads, set_num_threads, with_threads};
 pub use shape::Shape;

@@ -33,6 +33,7 @@
 //! `Σ|x| · max|w|` bound stays within the `i32` rails skips the per-MAC
 //! clamp, which provably never engages there.
 
+use crate::fused::RowChannels;
 use crate::packed::saturation_free;
 use crate::parallel::par_units;
 use crate::{Result, Tensor, TensorError};
@@ -426,14 +427,15 @@ pub fn matmul_sparse_i(x: &Tensor<i32>, w: &SparseMat) -> Result<Tensor<i32>> {
         );
     }
     let mut out = vec![0i32; batch * w.rows];
-    spmm_into(x.as_slice(), w, &w.col_indices(), &|acc, _| acc, &mut out);
+    spmm_into(x.as_slice(), w, &w.col_indices(), &|_: &mut [i32], _| {}, &mut out);
     Tensor::from_vec(out, &[batch, w.rows])
 }
 
 /// The skip-zero loop shared by [`matmul_sparse_i`] and
 /// [`crate::fused::spmm_fused_into`]: `x` holds `out.len() / w.rows`
-/// activation rows, `cols` is `w.col_indices()`, and `epi(acc, j)` is
-/// written for output `j` of every row.
+/// activation rows and `cols` is `w.col_indices()`. Each block's finished
+/// accumulators of output `j` pass through `epi(block, RowChannels::One(j))`
+/// before they are scattered to their rows.
 ///
 /// Blocked over batch rows: each output's MAC chain is serial through the
 /// per-step clamp, so walking one slot list against [`SPMM_BLOCK`] input
@@ -441,7 +443,7 @@ pub fn matmul_sparse_i(x: &Tensor<i32>, w: &SparseMat) -> Result<Tensor<i32>> {
 /// reuses the column/value stream) without reordering any chain.
 pub(crate) fn spmm_into<E>(x: &[i32], w: &SparseMat, cols: &[u32], epi: &E, out: &mut [i32])
 where
-    E: Fn(i32, usize) -> i32 + Sync,
+    E: Fn(&mut [i32], RowChannels) + Sync,
 {
     let (n_out, k) = (w.rows, w.cols);
     let wmax = w.vals.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
@@ -456,13 +458,19 @@ where
             for j in 0..n_out {
                 let (start, end) = (w.row_ptr[j] as usize, w.row_ptr[j + 1] as usize);
                 let (scols, svals) = (&cols[start..end], &w.vals[start..end]);
+                let mut done = [0i32; SPMM_BLOCK];
+                let done = &mut done[..block];
                 if block == SPMM_BLOCK {
                     let acc = spmm_rows::<SPMM_BLOCK>(xs, k, scols, svals, free);
-                    for (t, a) in acc.iter().enumerate() {
-                        run[(r + t) * n + j] = epi(*a as i32, j);
+                    for (d, a) in done.iter_mut().zip(acc) {
+                        *d = a as i32;
                     }
                 } else {
-                    run[r * n + j] = epi(spmm_rows::<1>(xs, k, scols, svals, free)[0] as i32, j);
+                    done[0] = spmm_rows::<1>(xs, k, scols, svals, free)[0] as i32;
+                }
+                epi(done, RowChannels::One(j));
+                for (t, &v) in done.iter().enumerate() {
+                    run[(r + t) * n + j] = v;
                 }
             }
             r += block;

@@ -10,7 +10,8 @@
 use proptest::prelude::*;
 use t2c_tensor::ops::{conv2d_i32, Conv2dSpec};
 use t2c_tensor::{
-    conv2d_fused_into, matmul_i32_sat_packed, with_threads, ConvWeight, PackedMat, Tensor,
+    conv2d_fused_into, matmul_i32_sat_packed, with_threads, ConvWeight, PackedMat, RowChannels,
+    Tensor,
 };
 
 proptest! {
@@ -81,16 +82,32 @@ proptest! {
         let x = Tensor::from_vec(xv, &[nimg, c, hw, hw]).unwrap();
         let w = Tensor::from_vec(wv, &[oc, cg, kk, kk]).unwrap();
         let spec = Conv2dSpec { stride, padding, groups };
-        let reference = conv2d_i32(&x, &w, None, spec).unwrap();
+        // A channel-tagging epilogue, so a row handed over under the wrong
+        // channel shows in the output.
+        let tag = |v: i32, ch: usize| v.wrapping_mul(3).wrapping_add(ch as i32);
+        let plain = conv2d_i32(&x, &w, None, spec).unwrap();
+        let l = plain.dim(2) * plain.dim(3);
+        let reference: Vec<i32> = plain
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| tag(v, (i / l) % oc))
+            .collect();
         let weight = ConvWeight::new(&w, groups).unwrap();
         let need = weight.scratch_len(hw, hw, spec).unwrap();
         prop_assert_eq!(need == 0, kk == 1 && stride == 1 && padding == 0);
         for threads in [1usize, 2, 4] {
-            let mut out = vec![0i32; reference.numel()];
+            let mut out = vec![0i32; reference.len()];
             let mut scratch = vec![i32::MIN; need];
             with_threads(threads, || {
                 conv2d_fused_into(
-                    x.as_slice(), [nimg, c, hw, hw], &weight, spec, &|acc, _| acc,
+                    x.as_slice(), [nimg, c, hw, hw], &weight, spec,
+                    &|row: &mut [i32], chans: RowChannels| {
+                        let RowChannels::One(ch) = chans else { panic!("conv rows have one channel") };
+                        for v in row.iter_mut() {
+                            *v = tag(*v, ch);
+                        }
+                    },
                     &mut scratch, &mut out,
                 )
             }).unwrap();

@@ -43,7 +43,7 @@ fn plans_match_the_interpreter_across_the_mlp_family_and_threads() {
         for (seed, batch) in [(1u64, 1usize), (2, 3), (3, 4)] {
             let x = random_input(&batched(&dims, batch), seed * 77 + 5);
             let want = model.run(&x).expect("interpreter run");
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2, 4] {
                 let got = with_threads(threads, || plan.run(&x, &mut arena)).expect("planned run");
                 assert_eq!(
                     got.dims(),
@@ -70,7 +70,7 @@ fn plans_match_the_interpreter_on_every_zoo_model() {
         for (seed, batch) in [(1u64, 1usize), (2, 1), (3, 16)] {
             let x = random_input(&batched(&dims, batch), seed * 77 + 5);
             let want = model.run(&x).expect("interpreter run");
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2, 4] {
                 let got = with_threads(threads, || plan.run(&x, &mut arena)).expect("planned run");
                 assert_eq!(
                     got.dims(),
