@@ -5,6 +5,10 @@
 # Runs, in order:
 #   1. release build of the whole workspace
 #   2. the full test suite (root package = tier-1 gate, plus all members)
+#   2b. release-mode bit identity: the plan-vs-interpreter equivalence
+#      tests and the packed/fused kernel proptests again in a release
+#      build, where the shipped plan runs its i64 epilogue arithmetic with
+#      overflow checks off
 #   3. clippy (workspace-wide, pedantic subset) with warnings promoted
 #      to errors
 #   4. rustfmt in check mode
@@ -70,6 +74,10 @@ cargo test -q
 
 echo "==> cargo test --workspace"
 cargo test -q --workspace
+
+echo "==> release-mode bit identity (overflow checks off, as shipped)"
+cargo test --release -q --test plan_equivalence
+cargo test --release -q -p t2c-tensor --test packed_identity
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
