@@ -15,13 +15,13 @@
 //!    accumulators — a conv channel row, a GEMM tile row, a sparse row
 //!    block — and it rewrites the run in place with flat loops that test
 //!    no option and resolve no channel index per value, so the wide `i32`
-//!    intermediate never materializes. `Requant` steps and `Bmm`'s in-place
-//!    requant run the same loop with one per-tensor channel. Dense linear
-//!    weights are packed into GEMM panels
-//!    **once, at compile time** — the panel layout belongs to the plan,
-//!    and the graph keeps its plain dense weights (the interpreter's dense
-//!    path transposes the weight on every call); sparse column indices are
-//!    likewise precomputed. Convolutions keep the graph's `[oc, cg·kh·kw]`
+//!    intermediate never materializes. `Requant` steps and `Bmm`'s
+//!    in-place requant run the same loop with one per-tensor channel.
+//!    Dense linear weights are packed into GEMM panels **once, at compile
+//!    time** — the panel layout belongs to the plan, and the graph keeps
+//!    its plain dense weights (the interpreter's dense path transposes
+//!    the weight on every call); sparse column indices are likewise
+//!    precomputed. Convolutions keep the graph's `[oc, cg·kh·kw]`
 //!    rows and run row by row in the interpreter's orientation (each
 //!    channel row against the group's im2col patch block), with per-channel
 //!    `Σ|w|` bounds computed at compile time. A `GeluLut` node is folded
