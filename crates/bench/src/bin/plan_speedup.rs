@@ -4,7 +4,9 @@
 //! intermediates, compiled once at admission) against the plain
 //! `IntModel::run_quantized` interpreter on every model the toolkit
 //! serves — the zoo MLP and the MobileNet, ResNet and ViT zoo models —
-//! single-threaded, end to end, at batch 16. Each case demands three
+//! single-threaded, end to end, at batch 16, with the kernels on the
+//! host's detected instruction set (`t2c_tensor::isa`, recorded in the
+//! report as `isa`). Each case demands three
 //! properties at once:
 //!
 //! 1. **speedup** — at least 1.3× on the MLP (fusion skips the
@@ -194,7 +196,11 @@ fn main() {
             if c.bit_identical { "yes" } else { "MISMATCH" },
         );
     }
-    println!("\nplan speedup ({BATCH} rows, 1 thread): {}", if pass { "pass" } else { "FAIL" });
+    let isa = t2c_tensor::isa();
+    println!(
+        "\nplan speedup ({BATCH} rows, 1 thread, {isa}): {}",
+        if pass { "pass" } else { "FAIL" }
+    );
 
     let created = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -212,7 +218,7 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"version\": 2,\n  \"bench\": \"plan_speedup\",\n  \"created_unix\": {created},\n  \
-         \"threads\": 1,\n  \"batch\": {BATCH},\n  \"steady_iters\": {STEADY_ITERS},\n{}  \
+         \"threads\": 1,\n  \"isa\": \"{isa}\",\n  \"batch\": {BATCH},\n  \"steady_iters\": {STEADY_ITERS},\n{}  \
          \"cases\": [\n{}\n  ],\n  \"pass\": {pass}\n}}\n",
         cases[0].json_fields("  "),
         case_json.join(",\n"),

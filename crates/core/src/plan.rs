@@ -15,8 +15,11 @@
 //!    accumulators — a conv channel row, a GEMM tile row, a sparse row
 //!    block — and it rewrites the run in place with flat loops that test
 //!    no option and resolve no channel index per value, so the wide `i32`
-//!    intermediate never materializes. `Requant` steps and `Bmm`'s
-//!    in-place requant run the same loop with one per-tensor channel.
+//!    intermediate never materializes. `Bmm` hands it each finished batch
+//!    matrix, and `Requant` steps run the same loop, both with one
+//!    per-tensor channel. The epilogue is always inlined, so it runs in
+//!    whichever instruction set the kernel body was dispatched to
+//!    (`t2c_tensor::isa`).
 //!    Dense linear weights are packed into GEMM panels **once, at compile
 //!    time** — the panel layout belongs to the plan, and the graph keeps
 //!    its plain dense weights (the interpreter's dense path transposes
@@ -80,7 +83,7 @@ use t2c_tensor::{
 use crate::fixed::FixedScalar;
 use crate::intmodel::{
     add_const_requant_scalar, add_requant_scalar, concat_token_into, global_avg_pool_into,
-    max_pool_into, take_token_into, IntModel, IntOp, LayerNormInt, LinearWeight, Src,
+    max_pool_into, take_token_into, IntModel, IntNode, IntOp, LayerNormInt, LinearWeight, Src,
 };
 use crate::lut::{GeluLut, SoftmaxLut};
 use crate::mulquant::MulQuant;
@@ -215,6 +218,10 @@ impl Epilogue {
     /// branch-free vector code; clamping in the `i64` pass instead
     /// compiles to branches that data near a ReLU or grid edge keeps
     /// mispredicting.
+    ///
+    /// Always inlined, so that it is compiled into each ISA's
+    /// instantiation of the fused kernel body that calls it.
+    #[inline(always)]
     fn apply(&self, run: &mut [i32], chans: RowChannels) {
         let (shift, half) = (self.shift, self.half);
         let (min, max) = (i64::from(i32::MIN), i64::from(i32::MAX));
@@ -330,8 +337,8 @@ enum Step {
     Softmax { src: Src, dst: usize, lut: SoftmaxLut, cols: usize },
     /// Standalone LUT GELU (one that could not be folded).
     Gelu { src: Src, dst: usize, lut: GeluLut },
-    /// Batched matmul accumulated into the destination slot, then
-    /// requantized in place by a one-channel epilogue.
+    /// Batched matmul accumulated into the destination slot, each batch
+    /// matrix requantized by a one-channel epilogue as it is finished.
     Bmm {
         a: Src,
         b: Src,
@@ -423,8 +430,9 @@ impl IntModel {
     /// # Errors
     ///
     /// Returns an error if the model is empty, a node's sources or shape
-    /// rule fail on the given shape, or a weight fails validation /
-    /// packing.
+    /// rule fail on the given shape, a weight fails validation / packing,
+    /// or a LUT's table does not cover what the step indexes (a GELU
+    /// table shorter than its input grid, an empty softmax table).
     pub fn compile(&self, input_dims: &[usize]) -> Result<ExecPlan> {
         if self.nodes.is_empty() {
             return Err(TensorError::InvalidArgument("cannot compile an empty IntModel".into()));
@@ -501,6 +509,7 @@ impl IntModel {
         let mut steps = Vec::with_capacity(n);
         let mut scratch_words = 0usize;
         for (i, node) in self.nodes.iter().enumerate() {
+            check_table(i, node)?;
             if folded[i] {
                 continue;
             }
@@ -682,6 +691,30 @@ impl IntModel {
             fused_nodes,
             scratch_words,
         })
+    }
+}
+
+/// Refuses a LUT node whose table a plan step would index out of bounds:
+/// a GELU table shorter than its input grid, or an empty softmax table.
+/// Lint reports both (T2C301), but a model admitted without lint must
+/// fail here, with an error, rather than panic in the worker that runs
+/// it.
+fn check_table(i: usize, node: &IntNode) -> Result<()> {
+    let gap = match &node.op {
+        IntOp::GeluLut(lut) => {
+            let codes = i64::from(lut.in_spec.qmax()) - i64::from(lut.in_spec.qmin()) + 1;
+            let len = lut.table.len();
+            ((len as i64) < codes)
+                .then(|| format!("GELU table has {len} entries for {codes} input codes"))
+        }
+        IntOp::SoftmaxLut(lut) => {
+            lut.table.is_empty().then(|| "softmax exp table is empty".to_owned())
+        }
+        _ => None,
+    };
+    match gap {
+        Some(gap) => Err(TensorError::InvalidArgument(format!("node {i} ({}): {gap}", node.name))),
+        None => Ok(()),
     }
 }
 
@@ -977,9 +1010,9 @@ fn exec_step(
         }
         Step::SplitHeads { src, heads, in_dims, .. } => {
             let x = rd(*src)?;
-            let (heads, [_, l, d]) = (*heads, *in_dims);
+            let (heads, [imgs, l, d]) = (*heads, scale3(*in_dims, bs));
             let dh = d / heads.max(1);
-            for img in 0..bs {
+            for img in 0..imgs {
                 for hd in 0..heads {
                     for t in 0..l {
                         let obase = ((img * heads + hd) * l + t) * dh;
@@ -991,9 +1024,9 @@ fn exec_step(
         }
         Step::MergeHeads { src, heads, in_dims, .. } => {
             let x = rd(*src)?;
-            let (heads, [_, l, dh]) = (*heads, *in_dims);
+            let (heads, [rows, l, dh]) = (*heads, scale3(*in_dims, bs));
             let d = heads * dh;
-            for img in 0..bs {
+            for img in 0..rows / heads.max(1) {
                 for hd in 0..heads {
                     for t in 0..l {
                         let obase = (img * l + t) * d + hd * dh;
@@ -1017,8 +1050,8 @@ fn exec_step(
         Step::Bmm { a, b, transpose_rhs, epi, a_dims, b_dims, .. } => {
             let [batches, rows, k] = scale3(*a_dims, bs);
             let n = if *transpose_rhs { b_dims[1] } else { b_dims[2] };
-            bmm_i32_sat_into(rd(*a)?, rd(*b)?, [batches, rows, k, n], *transpose_rhs, dbuf)?;
-            epi.apply(dbuf, RowChannels::One(0));
+            let epi = |run: &mut [i32], chans| epi.apply(run, chans);
+            bmm_i32_sat_into(rd(*a)?, rd(*b)?, [batches, rows, k, n], *transpose_rhs, &epi, dbuf)?;
         }
     }
     Ok(())
@@ -1029,7 +1062,7 @@ mod tests {
     use super::*;
     use crate::fixed::FixedPointFormat;
     use crate::zoo::{tiny_mlp, tiny_mlp_nm, tiny_mlp_pruned};
-    use t2c_tensor::with_threads;
+    use t2c_tensor::{with_isa, with_threads, Isa};
 
     fn float_batch(dims: &[usize], seed: usize) -> Tensor<f32> {
         Tensor::from_fn(dims, move |i| ((i * 31 + seed * 17) % 211) as f32 * 0.01 - 1.0)
@@ -1179,9 +1212,12 @@ mod tests {
         let plan = model.compile(&dims).unwrap();
         let x = float_batch(&[4, dims[1]], 7);
         let want = with_threads(1, || model.run(&x).unwrap());
-        for threads in [1usize, 2, 4] {
-            let got = with_threads(threads, || plan.run(&x, &mut Arena::new()).unwrap());
-            assert_eq!(got.as_slice(), want.as_slice(), "threads {threads}");
+        for isa in [Isa::Scalar, t2c_tensor::isa()] {
+            for threads in [1usize, 2, 4] {
+                let run = || plan.run(&x, &mut Arena::new()).unwrap();
+                let got = with_isa(isa, || with_threads(threads, run));
+                assert_eq!(got.as_slice(), want.as_slice(), "{isa}, threads {threads}");
+            }
         }
     }
 
@@ -1349,6 +1385,59 @@ mod tests {
         m.push("softmax", IntOp::SoftmaxLut(lut), vec![Src::Node(0)]);
         assert!(m.compile(&[2]).is_err());
         assert!(m.compile(&[2, 3]).is_ok());
+    }
+
+    #[test]
+    fn head_splits_walk_the_scaled_leading_axis() {
+        // SplitHeads{2} → MergeHeads{1} on [1, 1, 4]: the split's output
+        // is [2, 1, 2], so the merge walks two images per sample — not
+        // one per sample of the runtime batch.
+        let mut m = IntModel::new();
+        m.push("input", IntOp::Quantize { scale: 0.01, spec: QuantSpec::signed(8) }, vec![]);
+        m.push("split", IntOp::SplitHeads { heads: 2 }, vec![Src::Node(0)]);
+        m.push("merge", IntOp::MergeHeads { heads: 1 }, vec![Src::Node(1)]);
+        // Then a split of those two images ([4, 1, 1]) and a merge of
+        // four images in pairs ([2, 1, 2]).
+        m.push("split2", IntOp::SplitHeads { heads: 2 }, vec![Src::Node(2)]);
+        m.push("merge2", IntOp::MergeHeads { heads: 2 }, vec![Src::Node(3)]);
+        let plan = m.compile(&[1, 1, 4]).unwrap();
+        let mut arena = Arena::new();
+        for batch in [1usize, 3] {
+            // Poison the arena so stale words cannot pass for results.
+            arena.ensure(64).fill(i32::MIN);
+            let x = float_batch(&[batch, 1, 4], batch);
+            let want = m.run(&x).unwrap();
+            let got = plan.run(&x, &mut arena).unwrap();
+            assert_eq!(got.dims(), want.dims(), "batch {batch}");
+            assert_eq!(got.as_slice(), want.as_slice(), "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn short_gelu_tables_are_refused_at_compile_time() {
+        // Standalone and folded into a linear producer: either way the
+        // step would index past a 10-entry table for a 256-code grid.
+        let (mut folded, dims) = gelu_model();
+        let IntOp::GeluLut(lut) = &mut folded.nodes[2].op else { panic!("node 2 is the GELU") };
+        lut.table.truncate(10);
+        let mut alone = IntModel::new();
+        alone.push("input", IntOp::Quantize { scale: 0.05, spec: QuantSpec::signed(8) }, vec![]);
+        alone.push("act", folded.nodes[2].op.clone(), vec![Src::Node(0)]);
+        for (tag, model) in [("folded", &folded), ("standalone", &alone)] {
+            let err = model.compile(&dims).expect_err(tag).to_string();
+            assert!(err.contains("GELU table has 10 entries for 256"), "{tag}: {err}");
+        }
+    }
+
+    #[test]
+    fn empty_softmax_tables_are_refused_at_compile_time() {
+        let mut m = IntModel::new();
+        m.push("input", IntOp::Quantize { scale: 0.1, spec: QuantSpec::signed(8) }, vec![]);
+        let mut lut = SoftmaxLut::build(0.1, QuantSpec::unsigned(8), 16, 12);
+        lut.table.clear();
+        m.push("softmax", IntOp::SoftmaxLut(lut), vec![Src::Node(0)]);
+        let err = m.compile(&[1, 3]).expect_err("empty table").to_string();
+        assert!(err.contains("node 1 (softmax): softmax exp table is empty"), "{err}");
     }
 
     #[test]

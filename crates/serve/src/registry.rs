@@ -709,8 +709,8 @@ mod tests {
     }
 
     /// A model whose GeluLut table holds one entry: every input code but
-    /// −128 indexes out of bounds when it runs. The lint gate refuses it
-    /// (T2C301); compiling it executes nothing, so the plan builds.
+    /// −128 would index out of bounds. The lint gate refuses it (T2C301),
+    /// and so does plan compilation.
     fn one_entry_lut_model() -> IntModel {
         let spec = QuantSpec::signed(8);
         let mut m = IntModel::new();
@@ -744,6 +744,13 @@ mod tests {
             panic!("expected BadModel, got {err:?}");
         };
         assert!(msg.starts_with("plan compilation failed"), "refusal must name the cause: {msg}");
+        // A one-entry GELU table would index out of bounds in the worker;
+        // compilation refuses it even without the lint gate.
+        let err = reg.admit_unchecked("short-lut", one_entry_lut_model(), &[1, 8]).unwrap_err();
+        let AdmissionError::BadModel(msg) = err else {
+            panic!("expected BadModel, got {err:?}");
+        };
+        assert!(msg.contains("GELU table has 1 entries"), "refusal must name the table: {msg}");
         assert!(reg.is_empty(), "a refused model must not be registered");
     }
 

@@ -639,8 +639,11 @@ fn process_batch(shared: &Arc<Shared>, tickets: Vec<Ticket<Job>>, arena: &mut Ar
     // Every admitted model runs its compiled execution plan inside the
     // worker's arena (fused epilogues, zero steady-state allocations,
     // bit-identical to the interpreter).
-    let outcome =
-        std::panic::catch_unwind(AssertUnwindSafe(|| model.plan.run_quantized(&joined, arena)));
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        tests::inject_fault(model.name(), &joined);
+        model.plan.run_quantized(&joined, arena)
+    }));
     match outcome {
         Err(payload) => {
             shared.stats.panics.fetch_add(1, Ordering::Relaxed);
@@ -900,29 +903,34 @@ mod tests {
         assert_eq!(stats.completed, 2);
     }
 
+    /// Models named with this prefix panic inside the worker on any
+    /// positive input code, as a kernel bug would. Plan compilation
+    /// refuses every malformed graph that could otherwise provoke a panic
+    /// (a short GELU table used to), so the fault is injected here.
+    const FAULTY: &str = "faulty";
+
+    pub(super) fn inject_fault(model: &str, x: &Tensor<i32>) {
+        if model.starts_with(FAULTY) && x.as_slice().iter().any(|&c| c > 0) {
+            panic!("injected fault: positive input code");
+        }
+    }
+
+    /// quantize → GELU: a well-formed model for [`FAULTY`] names.
+    fn gelu_model() -> t2c_core::IntModel {
+        let spec = QuantSpec::signed(8);
+        let mut m = t2c_core::IntModel::new();
+        m.push("input", IntOp::Quantize { scale: 0.01, spec }, vec![]);
+        let lut = GeluLut::build(spec, 0.01, spec, 0.01);
+        m.push("act", IntOp::GeluLut(lut), vec![Src::Node(0)]);
+        m
+    }
+
     #[test]
     fn worker_panics_are_isolated_and_poison_the_model() {
-        // A GeluLut whose table covers codes −128..=0 only (129 of 256):
-        // any positive input code indexes out of bounds and panics inside
-        // the worker. Compiling the plan executes nothing, so admission
-        // succeeds; the lint gate would refuse the table (T2C301), which is
-        // exactly why the test goes through admit_unchecked.
+        // Any positive input code panics inside the worker (see
+        // `inject_fault`).
         let reg = Arc::new(ModelRegistry::new());
-        let mut m = t2c_core::IntModel::new();
-        m.push("input", IntOp::Quantize { scale: 0.01, spec: QuantSpec::signed(8) }, vec![]);
-        let spec = QuantSpec::signed(8);
-        m.push(
-            "boom",
-            IntOp::GeluLut(GeluLut {
-                table: vec![0; 129],
-                in_spec: spec,
-                in_scale: 0.01,
-                out_spec: spec,
-                out_scale: 0.01,
-            }),
-            vec![Src::Node(0)],
-        );
-        let admitted = reg.admit_unchecked("faulty", m, &[1, 8]).unwrap();
+        let admitted = reg.admit_unchecked("faulty", gelu_model(), &[1, 8]).unwrap();
         let (healthy, hdims) = zoo::tiny_mlp();
         let good = reg.admit("mlp", healthy, &hdims).unwrap();
 
@@ -934,7 +942,7 @@ mod tests {
         };
         let server = Server::start(Arc::clone(&reg), cfg);
         let handle = server.handle();
-        let bad_input = Tensor::from_fn(&[1, 8], |_| 100); // code 100 → index OOB
+        let bad_input = Tensor::from_fn(&[1, 8], |_| 100); // a positive code panics
 
         let first = handle.infer("faulty", bad_input.clone());
         match first {
@@ -1061,25 +1069,11 @@ mod tests {
 
     #[test]
     fn breaker_recovers_through_a_half_open_probe_end_to_end() {
-        // Same faulty LUT as the isolation test: any positive code indexes
-        // out of bounds and panics; code −128 (index 0) succeeds — that's
-        // the probe's recovery evidence.
+        // Same injected fault as the isolation test: any positive code
+        // panics; code −128 succeeds — that's the probe's recovery
+        // evidence.
         let reg = Arc::new(ModelRegistry::new());
-        let mut m = t2c_core::IntModel::new();
-        m.push("input", IntOp::Quantize { scale: 0.01, spec: QuantSpec::signed(8) }, vec![]);
-        let spec = QuantSpec::signed(8);
-        m.push(
-            "boom",
-            IntOp::GeluLut(GeluLut {
-                table: vec![0; 129],
-                in_spec: spec,
-                in_scale: 0.01,
-                out_spec: spec,
-                out_scale: 0.01,
-            }),
-            vec![Src::Node(0)],
-        );
-        reg.admit_unchecked("flaky", m, &[1, 8]).unwrap();
+        reg.admit_unchecked("faulty-flaky", gelu_model(), &[1, 8]).unwrap();
         let clock = Arc::new(FakeClock::new(1_000));
         let cooldown = 1_000_000u64;
         let cfg = ServerConfig {
@@ -1095,19 +1089,19 @@ mod tests {
         let bad = Tensor::from_fn(&[1, 8], |_| 100);
         let good = Tensor::from_fn(&[1, 8], |_| -128);
         // One panic trips the breaker (budget 1) — open.
-        assert!(matches!(handle.infer("flaky", bad.clone()), Err(ServeError::Internal(_))));
+        assert!(matches!(handle.infer("faulty-flaky", bad.clone()), Err(ServeError::Internal(_))));
         assert_eq!(
-            handle.infer("flaky", good.clone()).err(),
-            Some(ServeError::ModelPoisoned("flaky".into()))
+            handle.infer("faulty-flaky", good.clone()).err(),
+            Some(ServeError::ModelPoisoned("faulty-flaky".into()))
         );
         // Cooldown elapses: the next request is the single recovery probe.
         clock.advance(cooldown + 1);
-        handle.infer("flaky", good.clone()).expect("probe with a good input must succeed");
+        handle.infer("faulty-flaky", good.clone()).expect("probe with a good input must succeed");
         // Probe success closed the breaker: traffic flows again.
-        handle.infer("flaky", good).expect("breaker must be closed after a good probe");
+        handle.infer("faulty-flaky", good).expect("breaker must be closed after a good probe");
         // And a fresh panic re-opens it with the reset budget.
-        assert!(matches!(handle.infer("flaky", bad), Err(ServeError::Internal(_))));
-        assert!(reg.get("flaky").unwrap().is_poisoned());
+        assert!(matches!(handle.infer("faulty-flaky", bad), Err(ServeError::Internal(_))));
+        assert!(reg.get("faulty-flaky").unwrap().is_poisoned());
         server.shutdown();
     }
 

@@ -39,9 +39,23 @@
 //! The convolution carries the same saturation-free fast path as the
 //! packed GEMM: [`ConvWeight`] stores each output channel's `Σ|w|`, and
 //! when `Σ|w| · max|x|` over a unit's input fits in `i32`, no partial sum
-//! of that channel's row can reach the rails, so the row runs plain
-//! (vectorizable) `i32` multiply-adds; otherwise it runs the clamped `i64`
-//! chain. Either way the result is the same.
+//! of that channel's row can reach the rails, so the row runs plain `i32`
+//! multiply-adds; otherwise it runs the clamped `i64` chain. Either way
+//! the result is the same.
+//!
+//! # Instruction sets
+//!
+//! Each kernel's hot body — the GEMM row block, the conv `(image, group)`
+//! unit and the sparse row block, with the epilogue calls inside them —
+//! is written once, as an `#[inline(always)]` [`crate::isa`](mod@crate::isa) kernel, and
+//! compiled twice: for AVX2 (8 `i32` lanes) and for the build target's
+//! baseline (SSE2 on x86-64). Every call resolves [`crate::isa::isa`] on
+//! the calling thread before it fans out, so a [`crate::isa::with_isa`]
+//! override reaches its workers, and each worker runs that ISA's
+//! instantiation. An epilogue that is itself `#[inline(always)]` (the
+//! plans' compiled epilogue is) is compiled into both. The ISA changes
+//! which instructions run, never the arithmetic: results are
+//! bit-identical under either.
 //!
 //! # Trust contract
 //!
@@ -50,7 +64,8 @@
 //! structure on every call: plans validate once at compile time, and
 //! re-walking the weight per inference would defeat the point of the
 //! fused path. A corrupted structure panics on an out-of-bounds index
-//! (this crate forbids `unsafe`), it cannot read out of bounds.
+//! (every index is bounds-checked; the crate's one `unsafe` call is the
+//! ISA dispatch), it cannot read out of bounds.
 //! [`ConvWeight`] keeps its fields private, so its `Σ|w|` bounds always
 //! match its weights.
 //!
@@ -59,6 +74,7 @@
 //! convolution unrolls into the caller's scratch. When the convolution
 //! fans out across threads, each worker allocates its own scratch.
 
+use crate::isa::{dispatch, isa, Kernel};
 use crate::ops::{matmul_i32_sat_into, require_rank, Conv2dSpec};
 use crate::packed::{packed_tile, PackedMat, MR, PANEL};
 use crate::parallel::{num_threads, par_units};
@@ -113,7 +129,29 @@ where
     }
     let _t = t2c_obs::Timer::scoped("kernel.gemm_fused.time_ns");
     record_fused("kernel.gemm_fused", rows, k, n);
-    par_units(out, n.max(1), |row0, run| {
+    let isa = isa();
+    par_units(out, n.max(1), |row0, run| dispatch(isa, GemmRows { x, row0, w, epi, run }));
+    Ok(())
+}
+
+/// The GEMM row block behind [`gemm_fused_into`]: output rows `row0..`
+/// into `run`, tile by tile, each tile row handed to `epi` as soon as it
+/// is copied out.
+struct GemmRows<'a, E> {
+    x: &'a [i32],
+    row0: usize,
+    w: &'a PackedMat,
+    epi: &'a E,
+    run: &'a mut [i32],
+}
+
+impl<E: Fn(&mut [i32], RowChannels)> Kernel for GemmRows<'_, E> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let GemmRows { x, row0, w, epi, run } = self;
+        let (n, k) = (w.n, w.k);
         let mut tile = [0i32; MR * PANEL];
         let nrows = run.len() / n.max(1);
         let mut r0 = 0usize;
@@ -132,8 +170,7 @@ where
             }
             r0 += rblk;
         }
-    });
-    Ok(())
+    }
 }
 
 /// Sparse skip-zero matmul with fused epilogue: `[rows, w.cols]`
@@ -306,45 +343,79 @@ where
     }
     let _t = t2c_obs::Timer::scoped("kernel.conv_fused.time_ns");
     record_fused("kernel.conv_fused", n * l, k, w.oc);
-    let direct = w.reads_input_directly(spec);
-    // One unit per (image, group): out[img·oc·l + grp·ocg·l ..][..ocg·l]
-    // is contiguous because the layout is image-major, then group.
-    let run_unit = |u: usize, ounit: &mut [i32], scratch: &mut [i32]| {
-        let (img, grp) = (u / g, u % g);
-        let xin = &x[(img * c + grp * cg) * h * wd..][..cg * h * wd];
-        let cols: &[i32] = if direct {
-            xin
-        } else {
-            unroll(xin, [cg, h, wd], [kh, kw], [oh, ow], spec, &mut scratch[..k * l]);
-            &scratch[..k * l]
-        };
-        // Patch entries are input values or padding zeros, so the input's
-        // max |x| bounds every one of them.
-        let xmax = xin.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
-        for (oi, orow) in ounit.chunks_mut(l).enumerate() {
-            let o = grp * ocg + oi;
-            conv_row(&w.data[o * k..(o + 1) * k], w.abs_sum[o], xmax, cols, orow);
-            epi(orow, RowChannels::One(o));
-        }
-    };
+    let job = ConvUnits { x, w, spec, chw: [c, h, wd], ohw: [oh, ow], epi };
+    let isa = isa();
     if num_threads().min(n * g) <= 1 {
-        for (u, ounit) in out.chunks_mut(ocg * l).enumerate() {
-            run_unit(u, ounit, scratch);
-        }
+        dispatch(isa, ConvRun { job: &job, u0: 0, run: out, scratch });
     } else {
         par_units(out, ocg * l, |u0, run| {
             let mut own = vec![0i32; need];
-            for (i, ounit) in run.chunks_mut(ocg * l).enumerate() {
-                run_unit(u0 + i, ounit, &mut own);
-            }
+            dispatch(isa, ConvRun { job: &job, u0, run, scratch: &mut own });
         });
     }
     Ok(())
 }
 
+/// One [`conv2d_fused_into`] call's operands, shared by its workers.
+struct ConvUnits<'a, E> {
+    x: &'a [i32],
+    w: &'a ConvWeight,
+    spec: Conv2dSpec,
+    /// Input channels and spatial extent of one image.
+    chw: [usize; 3],
+    /// Output spatial extent.
+    ohw: [usize; 2],
+    epi: &'a E,
+}
+
+/// The conv `(image, group)` units `u0..` whose outputs tile `run`: each
+/// unrolls its patch block into `scratch` (or reads the image in place),
+/// accumulates every output-channel row and hands it to the epilogue.
+/// Unit `u` covers `out[img·oc·l + grp·ocg·l ..][..ocg·l]`, contiguous
+/// because the layout is image-major, then group.
+struct ConvRun<'a, E> {
+    job: &'a ConvUnits<'a, E>,
+    u0: usize,
+    run: &'a mut [i32],
+    scratch: &'a mut [i32],
+}
+
+impl<E: Fn(&mut [i32], RowChannels)> Kernel for ConvRun<'_, E> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let ConvRun { job, u0, run, scratch } = self;
+        let ConvUnits { x, w, spec, chw: [c, h, wd], ohw: [oh, ow], epi } = *job;
+        let (g, cg, k, l) = (w.groups, w.cg, w.k(), oh * ow);
+        let ocg = w.oc / g;
+        let direct = w.reads_input_directly(spec);
+        for (i, ounit) in run.chunks_mut(ocg * l).enumerate() {
+            let (img, grp) = ((u0 + i) / g, (u0 + i) % g);
+            let xin = &x[(img * c + grp * cg) * h * wd..][..cg * h * wd];
+            let cols: &[i32] = if direct {
+                xin
+            } else {
+                let cols = &mut scratch[..k * l];
+                unroll(xin, [cg, h, wd], [w.kh, w.kw], [oh, ow], spec, cols);
+                cols
+            };
+            // Patch entries are input values or padding zeros, so the
+            // input's max |x| bounds every one of them.
+            let xmax = xin.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+            for (oi, orow) in ounit.chunks_mut(l).enumerate() {
+                let o = grp * ocg + oi;
+                conv_row(&w.data[o * k..(o + 1) * k], w.abs_sum[o], xmax, cols, orow);
+                epi(orow, RowChannels::One(o));
+            }
+        }
+    }
+}
+
 /// Unrolls one image's `[cg, h, w]` group into its `[cg·kh·kw, oh·ow]`
 /// patch block — the values [`crate::ops::im2col`] produces for it,
 /// padding zeros included (`cols` may hold stale data).
+#[inline(always)]
 fn unroll(
     xin: &[i32],
     [cg, h, w]: [usize; 3],
@@ -402,6 +473,7 @@ fn unroll(
 /// [`crate::ops::conv2d_i32`] runs, called directly. When `wsum · xmax` — `Σ|w|` times a bound
 /// on every `|cols|` entry — fits in `i32`, no partial sum can reach the
 /// rails, so the row runs the unclamped chain (same result).
+#[inline(always)]
 fn conv_row(wrow: &[i32], wsum: u64, xmax: u32, cols: &[i32], orow: &mut [i32]) {
     let l = orow.len();
     orow.fill(0);
@@ -432,10 +504,23 @@ fn record_fused(op: &str, m: usize, k: usize, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{last_dispatched, with_isa, Isa};
     use crate::packed::matmul_i32_sat_packed;
     use crate::parallel::with_threads;
     use crate::sparse::matmul_sparse_i;
     use crate::Tensor;
+    use std::sync::Mutex;
+
+    /// Every (ISA, thread count) pair to check: the baseline and the
+    /// host's detected ISA, at each of `threads`.
+    fn sweep<const N: usize>(threads: [usize; N]) -> impl Iterator<Item = (Isa, usize)> {
+        [Isa::Scalar, isa()].into_iter().flat_map(move |i| threads.map(|t| (i, t)))
+    }
+
+    /// Runs `f` with the kernels limited to `isa` on `threads` workers.
+    fn on<R>(isa: Isa, threads: usize, f: impl FnOnce() -> R) -> R {
+        with_isa(isa, || with_threads(threads, f))
+    }
 
     fn pseudo_i(dims: &[usize], seed: u64, span: i64) -> Tensor<i32> {
         Tensor::from_fn(dims, |i| {
@@ -478,12 +563,12 @@ mod tests {
                 .enumerate()
                 .map(|(i, &v)| elem(v, i % n))
                 .collect();
-            for threads in [1, 2, 4] {
+            for (isa, threads) in sweep([1, 2, 4]) {
                 let mut out = vec![0i32; m * n];
-                with_threads(threads, || {
+                on(isa, threads, || {
                     gemm_fused_into(x.as_slice(), m, &packed, &epi, &mut out).unwrap();
                 });
-                assert_eq!(out, expect, "m={m} k={k} n={n} threads={threads}");
+                assert_eq!(out, expect, "m={m} k={k} n={n} {isa} threads={threads}");
             }
         }
     }
@@ -509,12 +594,12 @@ mod tests {
             .enumerate()
             .map(|(i, &v)| elem(v, i % 70))
             .collect();
-        for threads in [1, 4] {
+        for (isa, threads) in sweep([1, 4]) {
             let mut out = vec![0i32; 4 * 70];
-            with_threads(threads, || {
+            on(isa, threads, || {
                 gemm_fused_into(x.as_slice(), 4, &packed, &epi, &mut out).unwrap();
             });
-            assert_eq!(out, expect, "threads={threads}");
+            assert_eq!(out, expect, "{isa} threads={threads}");
         }
     }
 
@@ -532,12 +617,12 @@ mod tests {
                 .enumerate()
                 .map(|(i, &v)| elem(v, i % n))
                 .collect();
-            for threads in [1, 2, 4] {
+            for (isa, threads) in sweep([1, 2, 4]) {
                 let mut out = vec![0i32; m * n];
-                with_threads(threads, || {
+                on(isa, threads, || {
                     spmm_fused_into(x.as_slice(), m, &sp, &cols, &epi, &mut out).unwrap();
                 });
-                assert_eq!(out, expect, "m={m} k={k} n={n} threads={threads}");
+                assert_eq!(out, expect, "m={m} k={k} n={n} {isa} threads={threads}");
             }
         }
     }
@@ -575,11 +660,11 @@ mod tests {
                 let weight = ConvWeight::new(&w, spec.groups).unwrap();
                 let need = weight.scratch_len(xd[2], xd[3], spec).unwrap();
                 assert_eq!(need == 0, wdim[2] == 1 && spec.stride == 1 && spec.padding == 0);
-                for threads in [1, 3] {
+                for (isa, threads) in sweep([1, 3]) {
                     let mut out = vec![0i32; plain.numel()];
                     // Stale scratch must not leak into the patch block.
                     let mut scratch = vec![-7i32; need];
-                    with_threads(threads, || {
+                    on(isa, threads, || {
                         conv2d_fused_into(
                             x.as_slice(),
                             [xd[0], xd[1], xd[2], xd[3]],
@@ -591,9 +676,36 @@ mod tests {
                         )
                         .unwrap();
                     });
-                    assert_eq!(out, expect, "x={xd:?} w={wdim:?} span={span} threads={threads}");
+                    assert_eq!(
+                        out, expect,
+                        "x={xd:?} w={wdim:?} span={span} {isa} threads={threads}"
+                    );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_calling_threads_isa_reaches_every_worker() {
+        // 16 rows over 2 workers: each worker records, from inside its
+        // epilogue, the ISA its dispatch resolved on that thread.
+        let (x, w) = (pseudo_i(&[16, 9], 1, 255), pseudo_i(&[5, 9], 2, 255));
+        let packed = PackedMat::from_weight(&w).unwrap();
+        for want in [Isa::Scalar, isa()] {
+            let seen = Mutex::new(Vec::new());
+            let record = |_: &mut [i32], _| {
+                let me = (std::thread::current().id(), last_dispatched());
+                seen.lock().unwrap().push(me);
+            };
+            let mut out = vec![0i32; 16 * 5];
+            on(want, 2, || gemm_fused_into(x.as_slice(), 16, &packed, &record, &mut out)).unwrap();
+            let seen = seen.into_inner().unwrap();
+            let mut workers: Vec<_> = seen.iter().map(|(id, _)| *id).collect();
+            workers.sort_by_key(|id| format!("{id:?}"));
+            workers.dedup();
+            assert_eq!(workers.len(), 2, "two workers ran");
+            assert!(!workers.contains(&std::thread::current().id()), "workers are spawned");
+            assert!(seen.iter().all(|(_, isa)| *isa == Some(want)), "{want}: {seen:?}");
         }
     }
 

@@ -28,8 +28,18 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! ## Unsafe code
+//!
+//! The crate is safe Rust except for one call: entering the AVX2
+//! instantiation of an integer kernel body (see [`isa`](mod@isa)). Calling a
+//! `#[target_feature(enable = "avx2")]` function needs `unsafe`, and its
+//! only requirement is that the CPU has AVX2, which runtime detection has
+//! confirmed before the call. The workspace lint `unsafe_code = "deny"`
+//! holds everywhere else in the crate; `isa::dispatch` is the single
+//! item that allows it. Every other crate of the workspace forbids
+//! `unsafe` outright.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
@@ -37,6 +47,7 @@ mod shape;
 mod tensor;
 
 pub mod fused;
+pub mod isa;
 pub mod ops;
 pub mod packed;
 pub mod parallel;
@@ -45,6 +56,7 @@ pub mod sparse;
 
 pub use error::TensorError;
 pub use fused::{conv2d_fused_into, gemm_fused_into, spmm_fused_into, ConvWeight, RowChannels};
+pub use isa::{isa, with_isa, Isa};
 pub use packed::{matmul_i32_sat_packed, PackedMat};
 pub use parallel::{num_threads, set_num_threads, with_threads};
 pub use shape::Shape;

@@ -6,6 +6,8 @@
 //! per-element accumulation order never changes, so results are
 //! bit-identical to the sequential kernels at any thread count.
 
+use crate::fused::RowChannels;
+use crate::isa::{dispatch, isa, Kernel};
 use crate::ops::require_rank;
 use crate::parallel::par_units;
 use crate::{Result, Tensor, TensorError};
@@ -145,7 +147,15 @@ impl Tensor<i32> {
             });
         }
         let mut out = vec![0i32; b * m * n];
-        bmm_i32_sat_into(self.as_slice(), other.as_slice(), [b, m, k, n], false, &mut out)?;
+        let identity = |_: &mut [i32], _| {};
+        bmm_i32_sat_into(
+            self.as_slice(),
+            other.as_slice(),
+            [b, m, k, n],
+            false,
+            &identity,
+            &mut out,
+        )?;
         Tensor::from_vec(out, &[b, m, n])
     }
 }
@@ -200,6 +210,7 @@ pub(crate) fn matmul_f32_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k
 /// Shared by [`Tensor::matmul_i`], [`Tensor::bmm_i`] and
 /// [`crate::ops::conv2d_i32`]; zero weights are skipped, which models (and
 /// benchmarks) sparsity-aware PE gating.
+#[inline(always)]
 pub(crate) fn matmul_i32_sat_into(
     a: &[i32],
     b: &[i32],
@@ -228,29 +239,40 @@ pub(crate) fn matmul_i32_sat_into(
     }
 }
 
-/// Batched saturating integer product into a caller-provided buffer —
-/// the kernel behind [`Tensor::bmm_i`], which compiled plans run straight
-/// into their arena. `a` is `[batches, m, k]`; `b` is `[batches, k, n]`,
-/// or `[batches, n, k]` with `transpose_rhs` (multiplied as its
-/// per-batch transpose); `out` receives `[batches, m, n]` (prior contents
-/// are ignored).
+/// Batched saturating integer product with a fused epilogue, into a
+/// caller-provided buffer — the kernel behind [`Tensor::bmm_i`] (which
+/// passes the identity epilogue) and the compiled plans' `Bmm` step (which
+/// passes its requantizer and runs straight into its arena). `a` is
+/// `[batches, m, k]`; `b` is `[batches, k, n]`, or `[batches, n, k]` with
+/// `transpose_rhs` (multiplied as its per-batch transpose); `out` receives
+/// `[batches, m, n]` (prior contents are ignored).
 ///
 /// Every output element accumulates `a[i, p] · b[p, j]` with `p`
 /// ascending, the `i64 → i32` clamp after every MAC and zero activations
 /// skipped, so the transposed form — dot products over the rows of `b` —
-/// is bit-identical to permuting `b` first. Parallel over batches;
-/// performs no heap allocation when the resolved worker count is 1.
+/// is bit-identical to permuting `b` first. A batch's product carries no
+/// channel axis: each finished `[m, n]` batch matrix is handed to
+/// `epi(batch, RowChannels::One(0))`, which must rewrite every value as a
+/// pure function of that value. Parallel over batches; each worker's
+/// batches run the body compiled for the calling thread's
+/// [`crate::isa::isa`], and the result is bit-identical at any thread
+/// count and under either ISA. Performs no heap allocation when the
+/// resolved worker count is 1.
 ///
 /// # Errors
 ///
 /// Returns an error if `a`, `b` or `out` disagree with the dimensions.
-pub fn bmm_i32_sat_into(
+pub fn bmm_i32_sat_into<E>(
     a: &[i32],
     b: &[i32],
     [batches, m, k, n]: [usize; 4],
     transpose_rhs: bool,
+    epi: &E,
     out: &mut [i32],
-) -> Result<()> {
+) -> Result<()>
+where
+    E: Fn(&mut [i32], RowChannels) + Sync,
+{
     if a.len() != batches * m * k || b.len() != batches * k * n || out.len() != batches * m * n {
         return Err(TensorError::InvalidArgument(format!(
             "bmm_i32_sat_into: {} / {} / {} values do not form [{batches}, {m}, {k}] x \
@@ -265,29 +287,53 @@ pub fn bmm_i32_sat_into(
     if out.is_empty() {
         return Ok(());
     }
+    let isa = isa();
     par_units(out, m * n, |b0, run| {
-        for (bi, obatch) in run.chunks_mut(m * n).enumerate() {
-            let i = b0 + bi;
-            let (lhs, rhs) = (&a[i * m * k..(i + 1) * m * k], &b[i * k * n..(i + 1) * k * n]);
-            if !transpose_rhs {
-                obatch.fill(0);
-                matmul_i32_sat_into(lhs, rhs, obatch, m, k, n);
-                continue;
-            }
-            for (e, o) in obatch.iter_mut().enumerate() {
-                let (arow, brow) = (&lhs[(e / n) * k..][..k], &rhs[(e % n) * k..][..k]);
-                let mut acc = 0i32;
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    if av != 0 {
-                        let v = i64::from(acc) + i64::from(av) * i64::from(bv);
-                        acc = v.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
-                    }
-                }
-                *o = acc;
-            }
-        }
+        let (a, b) = (&a[b0 * m * k..], &b[b0 * k * n..]);
+        dispatch(isa, BmmBatches { a, b, mkn: [m, k, n], transpose_rhs, epi, run });
     });
     Ok(())
+}
+
+/// The batches behind [`bmm_i32_sat_into`]: the `[m, k]` × `[k, n]`
+/// products at the heads of `a` and `b` into the `[m, n]` matrices of
+/// `run`, each handed to `epi` when finished.
+struct BmmBatches<'a, E> {
+    a: &'a [i32],
+    b: &'a [i32],
+    mkn: [usize; 3],
+    transpose_rhs: bool,
+    epi: &'a E,
+    run: &'a mut [i32],
+}
+
+impl<E: Fn(&mut [i32], RowChannels)> Kernel for BmmBatches<'_, E> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let BmmBatches { a, b, mkn: [m, k, n], transpose_rhs, epi, run } = self;
+        for (i, obatch) in run.chunks_mut(m * n).enumerate() {
+            let (lhs, rhs) = (&a[i * m * k..(i + 1) * m * k], &b[i * k * n..(i + 1) * k * n]);
+            if transpose_rhs {
+                for (e, o) in obatch.iter_mut().enumerate() {
+                    let (arow, brow) = (&lhs[(e / n) * k..][..k], &rhs[(e % n) * k..][..k]);
+                    let mut acc = 0i32;
+                    for (&av, &bv) in arow.iter().zip(brow) {
+                        if av != 0 {
+                            let v = i64::from(acc) + i64::from(av) * i64::from(bv);
+                            acc = v.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
+                        }
+                    }
+                    *o = acc;
+                }
+            } else {
+                obatch.fill(0);
+                matmul_i32_sat_into(lhs, rhs, obatch, m, k, n);
+            }
+            epi(obatch, RowChannels::One(0));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -375,6 +421,7 @@ mod tests {
 
     #[test]
     fn bmm_into_matches_per_batch_matmul_plain_and_transposed() {
+        use crate::isa::{isa, with_isa, Isa};
         use crate::parallel::with_threads;
         for (bs, m, k, n) in [(1, 1, 1, 1), (3, 5, 7, 4), (4, 9, 16, 9)] {
             // int8 range, and magnitudes that drive the clamp mid-chain.
@@ -385,33 +432,44 @@ mod tests {
                 };
                 let x = Tensor::from_vec(draw(bs * m * k, 3).collect(), &[bs, m, k]).unwrap();
                 let y = Tensor::from_vec(draw(bs * k * n, 5).collect(), &[bs, k, n]).unwrap();
+                // A value-tagging epilogue, so a batch handed over twice or
+                // not at all shows in the output.
+                let tag = |v: i32| v.wrapping_mul(3) ^ 1;
+                let epi = |run: &mut [i32], chans| {
+                    assert_eq!(chans, RowChannels::One(0), "bmm outputs carry no channel axis");
+                    run.iter_mut().for_each(|v| *v = tag(*v));
+                };
                 let want: Vec<i32> = (0..bs)
                     .flat_map(|i| {
                         let (xb, yb) = (x.index_axis0(i).unwrap(), y.index_axis0(i).unwrap());
                         xb.matmul_i(&yb).unwrap().as_slice().to_vec()
                     })
+                    .map(tag)
                     .collect();
                 let yt = y.permute(&[0, 2, 1]).unwrap();
                 for (rhs, transpose) in [(&y, false), (&yt, true)] {
-                    for threads in [1, 2] {
+                    for (isa, threads) in [Isa::Scalar, isa()].map(|i| [(i, 1), (i, 2)]).concat() {
                         let mut out = vec![-1i32; bs * m * n];
-                        with_threads(threads, || {
-                            let dims = [bs, m, k, n];
+                        let dims = [bs, m, k, n];
+                        let run = || {
                             bmm_i32_sat_into(
                                 x.as_slice(),
                                 rhs.as_slice(),
                                 dims,
                                 transpose,
+                                &epi,
                                 &mut out,
                             )
-                        })
-                        .unwrap();
-                        assert_eq!(out, want, "{bs}x{m}x{k}x{n} transpose={transpose}");
+                        };
+                        with_isa(isa, || with_threads(threads, run)).unwrap();
+                        assert_eq!(out, want, "{bs}x{m}x{k}x{n} transpose={transpose} {isa}");
                     }
                 }
             }
         }
-        assert!(bmm_i32_sat_into(&[0; 6], &[0; 6], [1, 2, 3, 2], false, &mut [0; 3]).is_err());
+        let identity = |_: &mut [i32], _| {};
+        assert!(bmm_i32_sat_into(&[0; 6], &[0; 6], [1, 2, 3, 2], false, &identity, &mut [0; 3])
+            .is_err());
     }
 
     #[test]

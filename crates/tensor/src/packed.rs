@@ -52,11 +52,21 @@
 //! element in that (row, panel) pair is bounded by `S · max|w|`. When that
 //! bound stays within the `i32` rails, the per-MAC clamp provably never
 //! engages — `clamp(x) == x` at every step of the chain — so the chain
-//! collapses to plain `i32` multiply-adds (which the compiler vectorizes)
-//! and the result is still bit-identical. Quantized serving weights (int8
-//! codes against int8 activations) take this path at every realistic
-//! reduction depth; adversarial full-range inputs fall back to the clamped
-//! scalar chain.
+//! collapses to plain `i32` multiply-adds and the result is still
+//! bit-identical. Quantized serving weights (int8 codes against int8
+//! activations) take this path at every realistic reduction depth;
+//! adversarial full-range inputs fall back to the clamped scalar chain.
+//!
+//! # Instruction sets
+//!
+//! `packed_tile` and `saturation_free` are `#[inline(always)]`: the
+//! plan's GEMM row block ([`crate::fused::gemm_fused_into`]) inlines them
+//! into both of its instantiations, the AVX2 one (8 `i32` lanes per
+//! multiply-add) and the baseline one (4 lanes on x86-64), and runs the
+//! one [`crate::isa::isa`] selects for the calling thread (see
+//! [`crate::isa`](mod@crate::isa)). Both run the same per-element chain, so the results
+//! are identical. [`matmul_i32_sat_packed`], which no plan runs, calls the
+//! baseline instantiation only.
 
 use crate::ops::require_rank;
 use crate::parallel::par_units;
@@ -235,6 +245,7 @@ fn record_packed(op: &str, m: usize, k: usize, n: usize) {
 /// the module docs. When every row's `Σ|a| · pmax` bound proves the clamp
 /// can never engage, the tile runs the unclamped vectorizable chain
 /// instead (same results, module docs).
+#[inline(always)]
 pub(crate) fn packed_tile(
     a: &[i32],
     rows: usize,
@@ -287,6 +298,7 @@ pub(crate) fn packed_tile(
 /// max |w|`: then no partial sum of a product against those rows — nor any
 /// single product — can leave the `i32` range, and the per-MAC clamp never
 /// engages.
+#[inline(always)]
 pub(crate) fn saturation_free(a: &[i32], rows: usize, k: usize, wmax: u32) -> bool {
     (0..rows).all(|r| {
         let abs_sum: u64 = a[r * k..(r + 1) * k].iter().map(|v| u64::from(v.unsigned_abs())).sum();

@@ -34,6 +34,7 @@
 //! clamp, which provably never engages there.
 
 use crate::fused::RowChannels;
+use crate::isa::{dispatch, isa, Kernel};
 use crate::packed::saturation_free;
 use crate::parallel::par_units;
 use crate::{Result, Tensor, TensorError};
@@ -445,14 +446,38 @@ pub(crate) fn spmm_into<E>(x: &[i32], w: &SparseMat, cols: &[u32], epi: &E, out:
 where
     E: Fn(&mut [i32], RowChannels) + Sync,
 {
-    let (n_out, k) = (w.rows, w.cols);
     let wmax = w.vals.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
-    par_units(out, n_out.max(1), |row0, run| {
+    let isa = isa();
+    par_units(out, w.rows.max(1), |row0, run| {
+        let xs = &x[row0 * w.cols..];
+        dispatch(isa, SpmmRows { xs, w, cols, wmax, epi, run });
+    });
+}
+
+/// The sparse row block behind [`spmm_into`]: the activation rows at the
+/// head of `xs` into `run`, [`SPMM_BLOCK`] rows at a time.
+struct SpmmRows<'a, E> {
+    xs: &'a [i32],
+    w: &'a SparseMat,
+    cols: &'a [u32],
+    /// `max |w|` over the stored values.
+    wmax: u32,
+    epi: &'a E,
+    run: &'a mut [i32],
+}
+
+impl<E: Fn(&mut [i32], RowChannels)> Kernel for SpmmRows<'_, E> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let SpmmRows { xs, w, cols, wmax, epi, run } = self;
+        let (n_out, k) = (w.rows, w.cols);
         let n = n_out.max(1);
         let nrows = run.len() / n;
         let mut r = 0;
         while r < nrows {
-            let xs = &x[(row0 + r) * k..];
+            let xs = &xs[r * k..];
             let block = if r + SPMM_BLOCK <= nrows { SPMM_BLOCK } else { 1 };
             let free = saturation_free(xs, block, k, wmax);
             for j in 0..n_out {
@@ -475,7 +500,7 @@ where
             }
             r += block;
         }
-    });
+    }
 }
 
 /// Batch-row block width for [`matmul_sparse_i`]: enough independent
@@ -487,7 +512,7 @@ pub(crate) const SPMM_BLOCK: usize = 16;
 /// after every MAC — the exact dense accumulation order per output. When
 /// `free` (the rows' [`saturation_free`] bound) proves the clamp can never
 /// engage, the plain sums are the same values without the clamp chain.
-#[inline]
+#[inline(always)]
 fn spmm_rows<const B: usize>(
     xs: &[i32],
     k: usize,

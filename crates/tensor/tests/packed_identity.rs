@@ -4,15 +4,21 @@
 //! with the per-MAC `i64 → i32` clamp, or provably never reaches the
 //! clamp — so the results must match the dense kernels bit for bit at
 //! every shape (including GEMM shapes that are not multiples of the
-//! 64-wide panel, and every conv stride, padding and grouping) and at
-//! every thread count.
+//! 64-wide panel, and every conv stride, padding and grouping), at every
+//! thread count and under both the baseline and the detected ISA.
 
 use proptest::prelude::*;
 use t2c_tensor::ops::{conv2d_i32, Conv2dSpec};
 use t2c_tensor::{
-    conv2d_fused_into, matmul_i32_sat_packed, with_threads, ConvWeight, PackedMat, RowChannels,
-    Tensor,
+    conv2d_fused_into, isa, matmul_i32_sat_packed, with_isa, with_threads, ConvWeight, Isa,
+    PackedMat, RowChannels, Tensor,
 };
+
+/// Every (ISA, thread count) pair the kernels must agree at: the baseline
+/// and the host's detected ISA, each at 1, 2 and 4 workers.
+fn sweep() -> impl Iterator<Item = (Isa, usize)> {
+    [Isa::Scalar, isa()].into_iter().flat_map(|i| [1, 2, 4].map(|t| (i, t)))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -38,11 +44,12 @@ proptest! {
         let w = Tensor::from_vec(wv, &[n, k]).unwrap();
         let reference = x.matmul_i(&w.transpose().unwrap()).unwrap();
         let packed = PackedMat::from_weight(&w).unwrap();
-        for threads in [1usize, 2, 4] {
-            let got = with_threads(threads, || matmul_i32_sat_packed(&x, &packed)).unwrap();
+        for (isa, threads) in sweep() {
+            let got = with_isa(isa, || with_threads(threads, || matmul_i32_sat_packed(&x, &packed)))
+                .unwrap();
             prop_assert_eq!(
                 got.as_slice(), reference.as_slice(),
-                "m={} k={} n={} threads={}", m, k, n, threads
+                "m={} k={} n={} {} threads={}", m, k, n, isa, threads
             );
         }
     }
@@ -96,10 +103,10 @@ proptest! {
         let weight = ConvWeight::new(&w, groups).unwrap();
         let need = weight.scratch_len(hw, hw, spec).unwrap();
         prop_assert_eq!(need == 0, kk == 1 && stride == 1 && padding == 0);
-        for threads in [1usize, 2, 4] {
+        for (isa, threads) in sweep() {
             let mut out = vec![0i32; reference.len()];
             let mut scratch = vec![i32::MIN; need];
-            with_threads(threads, || {
+            with_isa(isa, || with_threads(threads, || {
                 conv2d_fused_into(
                     x.as_slice(), [nimg, c, hw, hw], &weight, spec,
                     &|row: &mut [i32], chans: RowChannels| {
@@ -110,11 +117,11 @@ proptest! {
                     },
                     &mut scratch, &mut out,
                 )
-            }).unwrap();
+            })).unwrap();
             prop_assert_eq!(
                 out.as_slice(), reference.as_slice(),
-                "n={} c={} oc={} hw={} k={} stride={} pad={} groups={} full={} threads={}",
-                nimg, c, oc, hw, kk, stride, padding, groups, full, threads
+                "n={} c={} oc={} hw={} k={} stride={} pad={} groups={} full={} {} threads={}",
+                nimg, c, oc, hw, kk, stride, padding, groups, full, isa, threads
             );
         }
     }

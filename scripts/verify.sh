@@ -48,7 +48,8 @@
 #      single-threaded end to end at batch 16 (≥ 1.3× on the MLP, ≥ 1.2×
 #      on each zoo model), and perform zero steady-state heap allocations
 #      on every one of them (counting-allocator odometer), with a
-#      schema-valid plan_speedup.json whose every case passes
+#      schema-valid plan_speedup.json (naming the kernel ISA it ran)
+#      whose every case passes
 #   10. cluster_smoke: t2c-cluster --smoke spins up a replicated tier on
 #      an ephemeral port and exercises TCP round-trips for every zoo
 #      model, a rolling model update, a replica kill with continued
@@ -155,7 +156,7 @@ grep -q '"pass": true' "$pack_report" || { echo "$pack_report did not pass"; exi
 echo "==> plan speedup (compiled execution-plan gate, 1 thread)"
 plan_report=$work/bench_results/plan_speedup.json
 (cd "$work" && "$bin/plan_speedup")
-for key in version bench created_unix threads batch unplanned_ns planned_ns \
+for key in version bench created_unix threads isa batch unplanned_ns planned_ns \
     speedup bit_identical steady_allocs arena_bytes fused_nodes \
     gate_speedup cases model pass; do
     grep -q "\"$key\"" "$plan_report" || { echo "missing key '$key' in $plan_report"; exit 1; }
