@@ -19,7 +19,9 @@
 //! honestly multiplies with replica count the way independent
 //! accelerator boards would — which is the deployment this tier exists
 //! for. The routed results themselves are still computed exactly and are
-//! checked against direct execution.
+//! checked against direct execution. Batches fill from the backlog that
+//! queues up while a replica's device is busy; a free worker cuts a batch
+//! whenever its queue is non-empty.
 //!
 //! ```sh
 //! cargo run --release -p t2c-bench --bin cluster_loadgen
@@ -76,14 +78,7 @@ fn run_config(replicas: usize, requests: usize, kill_mid_run: bool) -> RunResult
         // every replica, so added replicas add serving capacity.
         router: RouterConfig { replication: replicas, ..RouterConfig::default() },
         server: ServerConfig {
-            // The batch window matches the device cycle: dispatching a
-            // partial batch costs a full pace interval, so waiting up to
-            // one interval for the batch to fill is always worth it.
-            batch: BatchConfig {
-                max_batch: MAX_BATCH,
-                max_delay_ns: PACE_BATCH_NS,
-                queue_cap: 4096,
-            },
+            batch: BatchConfig { max_batch: MAX_BATCH, queue_cap: 4096 },
             workers: 1,
             pace_batch_ns: PACE_BATCH_NS,
             ..ServerConfig::default()

@@ -1,9 +1,11 @@
 //! `gemm-pack` — the panel-kernel gate.
 //!
-//! Benchmarks the cache-blocked packed integer GEMM — the panel kernel
-//! that the compiled plan's fused `Gemm` and `Conv` steps share — against
-//! the interpreter's dense path across the GEMM shapes the zoo's serving
-//! traffic covers, from a single-sample MLP call (1×256×128) up to a
+//! Benchmarks `gemm_fused_into` — the packed integer GEMM the compiled
+//! plan's fused `Gemm` steps run, under the ISA `t2c_tensor::isa`
+//! dispatches to on this host — with an identity epilogue against the
+//! interpreter's dense path across the GEMM shapes the zoo's serving
+//! traffic covers, from a single-sample MLP call (1×256×128) and the zoo
+//! ViT's sub-panel MLP down-projection at batch 16 (272×64×32) up to a
 //! batched transformer block (64×1024×1024). The dense side measures what
 //! `IntOp::Linear` pays per call in the interpreter — the `[out, in]`
 //! weight transpose *plus* the naive saturating matmul — because
@@ -15,7 +17,8 @@
 //! accumulation in ascending k order); every measured shape re-checks
 //! that. Gates on the packed kernel delivering at least 1.5× the dense
 //! path at the largest shape; the report's `gate_speedup` is that floor
-//! and the measured value is the gate shape's `shapes[].speedup`. Results land in
+//! and the measured value is the gate shape's `shapes[].speedup`, and its
+//! `isa` names the kernel instantiation that ran. Results land in
 //! `bench_results/gemm_pack.json`; exits non-zero when the gate fails —
 //! `scripts/verify.sh` runs it with `T2C_THREADS=4`.
 //!
@@ -24,7 +27,7 @@
 //! ```
 
 use t2c_bench::paired_median;
-use t2c_tensor::{matmul_i32_sat_packed, PackedMat, Tensor};
+use t2c_tensor::{gemm_fused_into, PackedMat, RowChannels, Tensor};
 
 /// Timed dense/packed pairs (median-of); two warm-up pairs precede them.
 const REPS: usize = 9;
@@ -43,6 +46,12 @@ struct ShapeResult {
     bit_identical: bool,
 }
 
+/// The plan's GEMM with a no-op epilogue: the raw saturating accumulators.
+fn packed_matmul(x: &Tensor<i32>, w: &PackedMat, out: &mut [i32]) {
+    gemm_fused_into(x.as_slice(), x.dim(0), w, &|_: &mut [i32], _: RowChannels| {}, out)
+        .expect("conforming shapes");
+}
+
 fn measure(m: usize, k: usize, n: usize) -> ShapeResult {
     // Activation codes on the int8 grid, weights [n, k] in the Linear
     // layer's [OUT, IN] orientation.
@@ -51,12 +60,14 @@ fn measure(m: usize, k: usize, n: usize) -> ShapeResult {
     let packed = PackedMat::from_weight(&w).expect("rank-2 weight packs");
 
     let dense_out = x.matmul_i(&w.transpose().expect("rank-2")).expect("conforming shapes");
-    let packed_out = matmul_i32_sat_packed(&x, &packed).expect("valid panels");
+    let mut packed_out = vec![0i32; m * n];
+    packed_matmul(&x, &packed, &mut packed_out);
     let bit_identical = dense_out.as_slice() == packed_out.as_slice();
 
     // Dense interpreter path: per-call transpose + naive saturating
     // matmul — the exact sequence the interpreter runs for `IntOp::Linear`.
-    // Packed kernel: the panels were built once, as plan compilation does.
+    // Packed kernel: the panels were built once and the output buffer is
+    // reused, as plan compilation and the plan's arena do.
     let t = paired_median(
         REPS,
         || {
@@ -64,7 +75,8 @@ fn measure(m: usize, k: usize, n: usize) -> ShapeResult {
             std::hint::black_box(x.matmul_i(&wt).expect("conforming shapes"));
         },
         || {
-            std::hint::black_box(matmul_i32_sat_packed(&x, &packed).expect("valid panels"));
+            packed_matmul(&x, &packed, &mut packed_out);
+            std::hint::black_box(&packed_out);
         },
     );
     let r = ShapeResult {
@@ -99,12 +111,14 @@ fn json_row(r: &ShapeResult) -> String {
 
 fn main() {
     println!(
-        "gemm-pack: packed panels vs dense interpreter path ({} host thread(s))",
-        t2c_tensor::num_threads()
+        "gemm-pack: packed panels vs dense interpreter path ({} host thread(s), isa {})",
+        t2c_tensor::num_threads(),
+        t2c_tensor::isa()
     );
     println!("| m x k x n | dense ms | packed ms | speedup | identity |");
     println!("|---|---|---|---|---|");
-    let shapes = [(1usize, 256usize, 128usize), (16, 256, 128), (64, 512, 512), GATE_SHAPE];
+    let shapes =
+        [(1usize, 256usize, 128usize), (16, 256, 128), (272, 64, 32), (64, 512, 512), GATE_SHAPE];
     let results: Vec<ShapeResult> = shapes.iter().map(|&(m, k, n)| measure(m, k, n)).collect();
 
     let gate =
@@ -125,8 +139,9 @@ fn main() {
         .map_or(0, |d| d.as_secs());
     let rows: Vec<String> = results.iter().map(json_row).collect();
     let json = format!(
-        "{{\n  \"version\": 1,\n  \"bench\": \"gemm_pack\",\n  \"created_unix\": {created},\n  \"threads\": {},\n  \"shapes\": [\n{}\n  ],\n  \"gate_speedup\": {FLOOR},\n  \"pass\": {pass}\n}}\n",
+        "{{\n  \"version\": 1,\n  \"bench\": \"gemm_pack\",\n  \"created_unix\": {created},\n  \"threads\": {},\n  \"isa\": \"{}\",\n  \"shapes\": [\n{}\n  ],\n  \"gate_speedup\": {FLOOR},\n  \"pass\": {pass}\n}}\n",
         t2c_tensor::num_threads(),
+        t2c_tensor::isa(),
         rows.join(",\n"),
     );
     std::fs::create_dir_all("bench_results").expect("create bench_results");

@@ -16,10 +16,10 @@
 //! batching to amortize. Pacing restores a deterministic measurement of
 //! the win batching exists for: fewer invocations of a device whose
 //! per-dispatch cost does not shrink with smarter host code. The
-//! unpaced sweep is still measured and recorded as telemetry. Every
-//! config keeps the runtime's default flush window
-//! (`BatchConfig::default()`, 0 ns), so batches fill from the backlog
-//! rather than by waiting.
+//! unpaced sweep is still measured and recorded as telemetry. The runtime
+//! cuts a batch whenever a worker is free and the queue is non-empty, so
+//! batches fill from the backlog that builds up while the paced worker is
+//! busy, never by waiting for stragglers.
 //!
 //! ```sh
 //! cargo run --release -p t2c-bench --bin loadgen            # full sweep + zoo
@@ -76,7 +76,7 @@ fn run_config(
 ) -> RunResult {
     let admitted = registry.get(model).expect("model admitted");
     let cfg = ServerConfig {
-        batch: BatchConfig { max_batch, queue_cap: 4096, ..BatchConfig::default() },
+        batch: BatchConfig { max_batch, queue_cap: 4096 },
         workers: 2,
         pace_batch_ns,
         ..ServerConfig::default()

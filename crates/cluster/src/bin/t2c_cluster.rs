@@ -8,8 +8,7 @@
 //!
 //! ```sh
 //! t2c-cluster [--port P] [--replicas N] [--replication R] [--workers W]
-//!             [--max-batch B] [--max-delay-us U] [--queue-cap C]
-//!             [--mlp-only] [--smoke]
+//!             [--max-batch B] [--queue-cap C] [--mlp-only] [--smoke]
 //! ```
 //!
 //! `--smoke` binds an ephemeral port and exercises the whole tier:
@@ -53,7 +52,7 @@ fn parse_args() -> Options {
     let mut opts = Options::default();
     let mut args = std::env::args().skip(1);
     let usage = "usage: t2c-cluster [--port P] [--replicas N] [--replication R] [--workers W] \
-                 [--max-batch B] [--max-delay-us U] [--queue-cap C] [--mlp-only] [--smoke]";
+                 [--max-batch B] [--queue-cap C] [--mlp-only] [--smoke]";
     let numeric = |args: &mut dyn Iterator<Item = String>, flag: &str| -> u64 {
         args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
             eprintln!("{flag} needs a numeric value\n{usage}");
@@ -62,16 +61,17 @@ fn parse_args() -> Options {
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--port" => opts.port = numeric(&mut args, "--port") as u16,
+            "--port" => {
+                opts.port = u16::try_from(numeric(&mut args, "--port")).unwrap_or_else(|_| {
+                    eprintln!("--port must be at most 65535\n{usage}");
+                    exit(2);
+                });
+            }
             "--replicas" => opts.replicas = numeric(&mut args, "--replicas") as usize,
             "--replication" => opts.replication = numeric(&mut args, "--replication") as usize,
             "--workers" => opts.server.workers = numeric(&mut args, "--workers") as usize,
             "--max-batch" => {
                 opts.server.batch.max_batch = numeric(&mut args, "--max-batch") as usize;
-            }
-            "--max-delay-us" => {
-                opts.server.batch.max_delay_ns =
-                    numeric(&mut args, "--max-delay-us").saturating_mul(1_000);
             }
             "--queue-cap" => {
                 opts.server.batch.queue_cap = numeric(&mut args, "--queue-cap") as usize;

@@ -20,7 +20,7 @@ fn immediate_config(replicas: usize, hedge: HedgeConfig) -> ClusterConfig {
         replicas,
         router: RouterConfig { replication: 2, hedge, ..RouterConfig::default() },
         server: ServerConfig {
-            batch: BatchConfig { max_batch: 1, max_delay_ns: 0, queue_cap: 256 },
+            batch: BatchConfig { max_batch: 1, queue_cap: 256 },
             workers: 1,
             ..ServerConfig::default()
         },

@@ -1,22 +1,23 @@
 //! The dynamic micro-batching scheduler core.
 //!
 //! [`MicroBatcher`] is a *pure* state machine: it owns the bounded
-//! admission queue and decides, given an explicit `now` timestamp, whether
-//! to dispatch a batch, sleep until a flush window closes, or idle. All
-//! time flows in through parameters — no `Instant::now()`, no sleeping —
-//! which is what makes flush timing, deadline expiry, backpressure and
-//! drain ordering unit-testable with a fake clock and zero sleeps.
+//! admission queue and cuts batches from it on request. All time flows in
+//! through parameters — no `Instant::now()`, no sleeping — which is what
+//! makes deadline expiry, backpressure and drain ordering unit-testable
+//! with a fake clock and zero sleeps.
 //!
 //! The threaded runtime in [`crate::runtime`] wraps one of these behind a
-//! mutex/condvar: each free worker polls it for its next batch and turns
-//! `Decision::WaitUntil` into a timed condvar wait.
+//! mutex/condvar: each free worker asks it for its next batch and sleeps
+//! only while the queue is empty.
 //!
 //! Batching policy: requests coalesce per *group* (one group per admitted
-//! model — tensors from different models can never be concatenated). A
-//! batch dispatches as soon as the head group has [`BatchConfig::max_batch`]
-//! rows queued, or when the head ticket has waited
-//! [`BatchConfig::max_delay_ns`], whichever comes first. During drain the
-//! delay window is ignored and everything flushes in FIFO order.
+//! model — tensors from different models can never be concatenated).
+//! Whenever the queue is non-empty, [`MicroBatcher::next_batch`] cuts a
+//! batch from the head ticket's group: its queued tickets in FIFO order,
+//! up to [`BatchConfig::max_batch`] rows. Batches therefore fill only
+//! from work that queued up while every worker was busy; a request that
+//! finds an idle worker runs at once. Drain stops admission and changes
+//! nothing else.
 
 use std::collections::VecDeque;
 
@@ -31,10 +32,6 @@ pub struct BatchConfig {
     /// Maximum rows per dispatched batch. A single request larger than
     /// this still dispatches (alone) — requests are never split.
     pub max_batch: usize,
-    /// How long the oldest queued request may wait for co-batched work
-    /// before the batch flushes anyway. `0` (the default) batches only
-    /// work that queued up while every worker was busy.
-    pub max_delay_ns: u64,
     /// Bound on queued *requests*; admission beyond this is rejected with
     /// [`ServeError::Busy`].
     pub queue_cap: usize,
@@ -42,7 +39,7 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig { max_batch: 16, max_delay_ns: 0, queue_cap: 256 }
+        BatchConfig { max_batch: 16, queue_cap: 256 }
     }
 }
 
@@ -64,18 +61,6 @@ pub struct Ticket<T> {
     pub seq: u64,
 }
 
-/// What the scheduler wants to happen next.
-#[derive(Debug)]
-pub enum Decision<T> {
-    /// Run this batch now. All tickets share one group; total rows respect
-    /// `max_batch` (unless a single oversized request).
-    Dispatch(Vec<Ticket<T>>),
-    /// Nothing is due; re-poll at this timestamp (or on new admission).
-    WaitUntil(u64),
-    /// The queue is empty.
-    Idle,
-}
-
 /// Pure micro-batching state machine. See the module docs.
 #[derive(Debug)]
 pub struct MicroBatcher<T> {
@@ -92,8 +77,7 @@ impl<T> MicroBatcher<T> {
     /// A new batcher with the given policy. `max_batch` and `queue_cap`
     /// are clamped to at least 1.
     pub fn new(cfg: BatchConfig) -> Self {
-        let cfg =
-            BatchConfig { max_batch: cfg.max_batch.max(1), queue_cap: cfg.queue_cap.max(1), ..cfg };
+        let cfg = BatchConfig { max_batch: cfg.max_batch.max(1), queue_cap: cfg.queue_cap.max(1) };
         MicroBatcher {
             cfg,
             queue: VecDeque::new(),
@@ -101,11 +85,6 @@ impl<T> MicroBatcher<T> {
             draining: false,
             next_seq: 0,
         }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> &BatchConfig {
-        &self.cfg
     }
 
     /// Queued request count.
@@ -116,11 +95,6 @@ impl<T> MicroBatcher<T> {
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Total queued rows (the queue-depth gauge).
-    pub fn queued_rows(&self) -> usize {
-        self.rows_per_group.iter().sum()
     }
 
     /// Queued rows for one batching group. The runtime uses this to
@@ -140,13 +114,7 @@ impl<T> MicroBatcher<T> {
         *slot = slot.saturating_add_signed(delta_rows);
     }
 
-    /// True once [`Self::start_drain`] was called.
-    pub fn is_draining(&self) -> bool {
-        self.draining
-    }
-
-    /// Stops admission; queued work still dispatches (immediately — the
-    /// delay window no longer applies).
+    /// Stops admission; queued work still dispatches.
     pub fn start_drain(&mut self) {
         self.draining = true;
     }
@@ -196,75 +164,58 @@ impl<T> MicroBatcher<T> {
         Ok(seq)
     }
 
+    /// Removes `queue[i]` and takes its rows off its group's count.
+    fn remove_at(&mut self, i: usize) -> Ticket<T> {
+        let t = self.queue.remove(i).expect("index within the queue");
+        self.bump_group(t.group, -isize::try_from(t.rows).unwrap_or(isize::MAX));
+        t
+    }
+
     /// Removes and returns every queued ticket whose deadline has passed,
     /// in admission order. Call before [`Self::next_batch`] so expired
-    /// requests never reach a worker.
+    /// requests never reach a worker. The queue is edited in place: a
+    /// poll with nothing expired only reads it.
     pub fn take_expired(&mut self, now_ns: u64) -> Vec<Ticket<T>> {
         let mut expired = Vec::new();
-        let mut keep = VecDeque::with_capacity(self.queue.len());
-        for t in self.queue.drain(..) {
-            if t.deadline_ns <= now_ns {
-                expired.push(t);
+        let mut i = 0;
+        while i < self.queue.len() {
+            if self.queue[i].deadline_ns <= now_ns {
+                expired.push(self.remove_at(i));
             } else {
-                keep.push_back(t);
+                i += 1;
             }
-        }
-        self.queue = keep;
-        for t in &expired {
-            self.bump_group(t.group, -isize::try_from(t.rows).unwrap_or(isize::MAX));
         }
         expired
     }
 
-    /// The scheduling decision at `now_ns`.
+    /// Cuts the next batch, or `None` when the queue is empty.
     ///
-    /// Dispatch fires when the head group is full (`max_batch` rows ready,
-    /// or the next same-group ticket would overflow the batch) or due (head
-    /// ticket waited `max_delay_ns`, or the batcher is draining). The
-    /// dispatched tickets are removed from the queue; tickets of *other*
-    /// groups keep their relative order.
-    pub fn next_batch(&mut self, now_ns: u64) -> Decision<T> {
-        let Some(head) = self.queue.front() else {
-            return Decision::Idle;
-        };
-        let flush_at = head.enqueued_ns.saturating_add(self.cfg.max_delay_ns);
-        let due = self.draining || flush_at <= now_ns;
-
-        // Collect the head group's tickets (FIFO) up to max_batch rows.
-        let group = head.group;
-        let mut picked: Vec<u64> = Vec::new();
-        let mut rows = 0usize;
-        let mut overflow = false;
-        for t in &self.queue {
+    /// The batch is the head ticket's group: its queued tickets in FIFO
+    /// order, up to `max_batch` rows, stopping at the first one that would
+    /// overflow. A single request larger than `max_batch` goes alone. The
+    /// dispatched tickets leave the queue; tickets of *other* groups keep
+    /// their relative order.
+    pub fn next_batch(&mut self) -> Option<Vec<Ticket<T>>> {
+        if self.queue.is_empty() {
+            return None;
+        }
+        let head = self.remove_at(0);
+        let (group, mut rows) = (head.group, head.rows);
+        let mut batch = vec![head];
+        let mut i = 0;
+        while rows < self.cfg.max_batch && i < self.queue.len() {
+            let t = &self.queue[i];
             if t.group != group {
+                i += 1;
                 continue;
             }
-            if !picked.is_empty() && rows + t.rows > self.cfg.max_batch {
-                overflow = true;
+            if rows + t.rows > self.cfg.max_batch {
                 break;
             }
             rows += t.rows;
-            picked.push(t.seq);
-            if rows >= self.cfg.max_batch {
-                overflow = true;
-                break;
-            }
+            batch.push(self.remove_at(i));
         }
-        if !(due || overflow) {
-            return Decision::WaitUntil(flush_at);
-        }
-        let mut batch = Vec::with_capacity(picked.len());
-        let mut keep = VecDeque::with_capacity(self.queue.len());
-        for t in self.queue.drain(..) {
-            if picked.contains(&t.seq) {
-                batch.push(t);
-            } else {
-                keep.push_back(t);
-            }
-        }
-        self.queue = keep;
-        self.bump_group(group, -isize::try_from(rows).unwrap_or(isize::MAX));
-        Decision::Dispatch(batch)
+        Some(batch)
     }
 }
 
@@ -272,77 +223,61 @@ impl<T> MicroBatcher<T> {
 mod tests {
     use super::*;
 
-    fn cfg(max_batch: usize, max_delay_ns: u64, queue_cap: usize) -> BatchConfig {
-        BatchConfig { max_batch, max_delay_ns, queue_cap }
+    fn cfg(max_batch: usize, queue_cap: usize) -> BatchConfig {
+        BatchConfig { max_batch, queue_cap }
     }
 
-    fn dispatch<T: std::fmt::Debug>(d: Decision<T>) -> Vec<Ticket<T>> {
-        match d {
-            Decision::Dispatch(b) => b,
-            other => panic!("expected Dispatch, got {other:?}"),
-        }
+    fn payloads<T: Copy>(batch: &[Ticket<T>]) -> Vec<T> {
+        batch.iter().map(|t| t.payload).collect()
     }
 
     #[test]
     fn flushes_immediately_when_max_batch_rows_are_queued() {
-        let mut b = MicroBatcher::new(cfg(4, 1_000_000, 64));
+        let mut b = MicroBatcher::new(cfg(4, 64));
         for i in 0..4 {
             b.admit(i, 0, 1, 0, NO_DEADLINE).unwrap();
         }
-        // t=0: the delay window is wide open, but the batch is full.
-        let batch = dispatch(b.next_batch(0));
-        assert_eq!(batch.iter().map(|t| t.payload).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        let batch = b.next_batch().unwrap();
+        assert_eq!(payloads(&batch), vec![0, 1, 2, 3]);
         assert!(b.is_empty());
     }
 
     #[test]
-    fn waits_for_the_delay_window_then_flushes_a_partial_batch() {
-        let mut b = MicroBatcher::new(cfg(16, 1_000, 64));
-        b.admit("a", 0, 1, 100, NO_DEADLINE).unwrap();
-        b.admit("b", 0, 1, 400, NO_DEADLINE).unwrap();
-        // Window closes at head.enqueued + delay = 1100, not 1400.
-        match b.next_batch(500) {
-            Decision::WaitUntil(t) => assert_eq!(t, 1_100),
-            other => panic!("expected WaitUntil(1100), got {other:?}"),
-        }
-        match b.next_batch(1_099) {
-            Decision::WaitUntil(t) => assert_eq!(t, 1_100),
-            other => panic!("expected WaitUntil(1100), got {other:?}"),
-        }
-        let batch = dispatch(b.next_batch(1_100));
-        assert_eq!(batch.len(), 2);
-        assert!(matches!(b.next_batch(1_100), Decision::Idle));
+    fn next_batch_dispatches_a_lone_ticket_at_once() {
+        let mut b = MicroBatcher::new(cfg(16, 64));
+        assert!(b.next_batch().is_none());
+        b.admit("lone", 0, 1, 0, NO_DEADLINE).unwrap();
+        // One row of sixteen: nothing else is queued, so it goes as is.
+        assert_eq!(payloads(&b.next_batch().unwrap()), vec!["lone"]);
+        assert!(b.next_batch().is_none());
+        assert_eq!(b.group_rows(0), 0);
     }
 
     #[test]
     fn rows_count_toward_max_batch_and_oversized_requests_go_alone() {
-        let mut b = MicroBatcher::new(cfg(8, 1_000, 64));
+        let mut b = MicroBatcher::new(cfg(8, 64));
         b.admit("big", 0, 32, 0, NO_DEADLINE).unwrap(); // > max_batch: never split
         b.admit("small", 0, 1, 0, NO_DEADLINE).unwrap();
-        let first = dispatch(b.next_batch(0));
+        let first = b.next_batch().unwrap();
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].payload, "big");
-        // The small one now waits for its own window.
-        match b.next_batch(0) {
-            Decision::WaitUntil(t) => assert_eq!(t, 1_000),
-            other => panic!("expected WaitUntil, got {other:?}"),
-        }
+        assert_eq!(payloads(&b.next_batch().unwrap()), vec!["small"]);
     }
 
     #[test]
     fn backpressure_rejects_with_busy_at_queue_cap() {
-        let mut b = MicroBatcher::new(cfg(16, 1_000, 2));
+        let mut b = MicroBatcher::new(cfg(16, 2));
         b.admit(1, 0, 1, 0, NO_DEADLINE).unwrap();
         b.admit(2, 0, 1, 0, NO_DEADLINE).unwrap();
         assert_eq!(b.admit(3, 0, 1, 0, NO_DEADLINE), Err(ServeError::Busy));
         // Dispatching frees capacity again.
-        let _ = dispatch(b.next_batch(1_000));
+        let _ = b.next_batch().unwrap();
         b.admit(4, 0, 1, 1_001, NO_DEADLINE).unwrap();
     }
 
     #[test]
     fn deadline_expiry_removes_exactly_the_overdue_tickets() {
-        let mut b = MicroBatcher::new(cfg(16, 10_000, 64));
+        let mut b = MicroBatcher::new(cfg(16, 64));
         b.admit("t800", 0, 1, 0, 800).unwrap();
         b.admit("t2000", 0, 1, 0, 2_000).unwrap();
         b.admit("never", 0, 1, 0, NO_DEADLINE).unwrap();
@@ -359,58 +294,43 @@ mod tests {
 
     #[test]
     fn drain_rejects_new_work_and_flushes_fifo_without_waiting() {
-        let mut b = MicroBatcher::new(cfg(2, u64::MAX, 64));
+        let mut b = MicroBatcher::new(cfg(2, 64));
         for i in 0i32..5 {
             b.admit(i, 0, 1, i as u64, NO_DEADLINE).unwrap();
         }
         b.start_drain();
         assert_eq!(b.admit(99, 0, 1, 10, NO_DEADLINE), Err(ServeError::ShuttingDown));
-        // The infinite delay window is ignored during drain; batches come
-        // out in strict admission order.
+        // Batches come out in strict admission order.
         let mut order = Vec::new();
-        loop {
-            match b.next_batch(10) {
-                Decision::Dispatch(batch) => {
-                    assert!(batch.len() <= 2);
-                    order.extend(batch.iter().map(|t| t.payload));
-                }
-                Decision::Idle => break,
-                Decision::WaitUntil(t) => panic!("drain must not wait (until {t})"),
-            }
+        while let Some(batch) = b.next_batch() {
+            assert!(batch.len() <= 2);
+            order.extend(payloads(&batch));
         }
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn groups_never_mix_and_skipped_groups_keep_their_order() {
-        let mut b = MicroBatcher::new(cfg(16, 0, 64)); // delay 0: always due
+        let mut b = MicroBatcher::new(cfg(16, 64));
         b.admit("a0", 0, 1, 0, NO_DEADLINE).unwrap();
         b.admit("b0", 1, 1, 0, NO_DEADLINE).unwrap();
         b.admit("a1", 0, 1, 0, NO_DEADLINE).unwrap();
         b.admit("b1", 1, 1, 0, NO_DEADLINE).unwrap();
-        let first = dispatch(b.next_batch(0));
-        assert_eq!(first.iter().map(|t| t.payload).collect::<Vec<_>>(), vec!["a0", "a1"]);
-        let second = dispatch(b.next_batch(0));
-        assert_eq!(second.iter().map(|t| t.payload).collect::<Vec<_>>(), vec!["b0", "b1"]);
+        assert_eq!(payloads(&b.next_batch().unwrap()), vec!["a0", "a1"]);
+        assert_eq!(payloads(&b.next_batch().unwrap()), vec!["b0", "b1"]);
     }
 
     #[test]
-    fn full_group_dispatches_even_if_a_different_group_is_at_the_head() {
-        // Head is group 1 (not yet due, 1 row); group 0 fills max_batch
-        // behind it. The head group decides the batch: group 1 waits, so
-        // WaitUntil — then once due, group 1 dispatches alone and group 0
-        // (now at head, full) flushes immediately.
-        let mut b = MicroBatcher::new(cfg(2, 1_000, 64));
+    fn the_head_group_goes_first_even_when_a_later_group_is_full() {
+        // Head is group 1 (1 row); group 0 fills max_batch behind it. The
+        // head group decides the batch: group 1 dispatches alone, then
+        // group 0 (now at the head, full) goes whole.
+        let mut b = MicroBatcher::new(cfg(2, 64));
         b.admit("b0", 1, 1, 0, NO_DEADLINE).unwrap();
         b.admit("a0", 0, 1, 1, NO_DEADLINE).unwrap();
         b.admit("a1", 0, 1, 1, NO_DEADLINE).unwrap();
-        match b.next_batch(500) {
-            Decision::WaitUntil(t) => assert_eq!(t, 1_000),
-            other => panic!("expected WaitUntil, got {other:?}"),
-        }
-        let first = dispatch(b.next_batch(1_000));
+        let first = b.next_batch().unwrap();
         assert_eq!(first[0].payload, "b0");
-        let second = dispatch(b.next_batch(1_000));
-        assert_eq!(second.iter().map(|t| t.payload).collect::<Vec<_>>(), vec!["a0", "a1"]);
+        assert_eq!(payloads(&b.next_batch().unwrap()), vec!["a0", "a1"]);
     }
 }

@@ -1,9 +1,9 @@
 //! Monotonic time source abstraction.
 //!
 //! The scheduler never reads wall time directly — every timing decision
-//! (batch-flush windows, deadlines) goes through a [`Clock`], so tests can
-//! drive the batcher with a [`FakeClock`] and assert flush/expiry behavior
-//! deterministically, without sleeping.
+//! (deadlines, breaker cooldowns, latency stamps) goes through a
+//! [`Clock`], so tests can drive the runtime with a [`FakeClock`] and
+//! assert expiry behavior deterministically, without sleeping.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

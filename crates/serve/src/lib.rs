@@ -9,11 +9,12 @@
 //!   (packages additionally re-verify checksums and the hex manifest) and
 //!   whose execution plan compiles. The runtime serves exactly what
 //!   `t2c-check` would sign off on.
-//! * **Dynamic micro-batching** — each free worker pulls up to
-//!   `max_batch` queued rows of one model, runs them through the axis-0
-//!   concat/split tensor kernels and the model's compiled `ExecPlan`,
-//!   and fans back out to per-request completion slots ([`MicroBatcher`],
-//!   [`Server`]).
+//! * **Dynamic micro-batching** — whenever the queue is non-empty, each
+//!   free worker pulls up to `max_batch` queued rows of one model, runs
+//!   them through the axis-0 concat/split tensor kernels and the model's
+//!   compiled `ExecPlan`, and fans back out to per-request completion
+//!   slots ([`MicroBatcher`], [`Server`]). Batches fill from the work that
+//!   queues up while every worker is busy; nothing waits for stragglers.
 //! * **Robustness policy** — a bounded queue with explicit
 //!   [`ServeError::Busy`] backpressure, per-request deadlines, worker
 //!   panic isolation with a per-model circuit breaker, and graceful
@@ -48,7 +49,7 @@ pub mod registry;
 pub mod runtime;
 pub mod wire;
 
-pub use batcher::{BatchConfig, Decision, MicroBatcher, Ticket, NO_DEADLINE};
+pub use batcher::{BatchConfig, MicroBatcher, Ticket, NO_DEADLINE};
 pub use clock::{Clock, FakeClock, SystemClock};
 pub use error::{AdmissionError, ServeError};
 pub use registry::{AdmittedModel, ModelRegistry};

@@ -6,15 +6,15 @@
 //! ```text
 //! Handle::submit ──admit──▶ MicroBatcher (bounded queue)
 //!                                │ each free worker, under the queue lock:
-//!                                ▼ take_expired → next_batch (max_batch / max_delay)
+//!                                ▼ take_expired → next_batch (≤ max_batch rows)
 //!                                │ lock dropped
 //!                                ▼ concat_axis0 → ExecPlan::run_quantized → split_axis0
 //!                        completion slots (per request)
 //! ```
 //!
 //! A batch is cut only when a worker is free to run it, so under load
-//! batches fill from the backlog, and with the default `max_delay_ns = 0`
-//! a request that finds an idle worker dispatches at once.
+//! batches fill from the backlog, and a request that finds an idle worker
+//! dispatches at once.
 //!
 //! Robustness policy:
 //! * **Backpressure** — the admission queue is bounded; a full queue
@@ -47,7 +47,7 @@ use t2c_core::Arena;
 use t2c_obs::SampledAudit;
 use t2c_tensor::Tensor;
 
-use crate::batcher::{Decision, MicroBatcher, Ticket, NO_DEADLINE};
+use crate::batcher::{MicroBatcher, Ticket, NO_DEADLINE};
 use crate::clock::{Clock, SystemClock};
 use crate::error::ServeError;
 use crate::registry::{AdmittedModel, ModelRegistry};
@@ -55,13 +55,10 @@ use crate::registry::{AdmittedModel, ModelRegistry};
 /// Runtime policy knobs on top of the batcher's [`crate::BatchConfig`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Micro-batching policy (batch size, flush window, queue bound).
+    /// Micro-batching policy (batch size, queue bound).
     pub batch: crate::batcher::BatchConfig,
     /// Worker threads executing batches (min 1).
     pub workers: usize,
-    /// Deadline applied to requests that don't bring their own
-    /// (0 = no default deadline).
-    pub default_deadline_ns: u64,
     /// Worker panics a model survives before the circuit breaker
     /// quarantines it.
     pub max_panics: u32,
@@ -89,7 +86,6 @@ impl Default for ServerConfig {
         ServerConfig {
             batch: crate::batcher::BatchConfig::default(),
             workers: 2,
-            default_deadline_ns: 0,
             max_panics: 3,
             audit_every: 0,
             breaker_cooldown_ns: 0,
@@ -276,8 +272,8 @@ impl Handle {
         self.shared.registry.names()
     }
 
-    /// Submits a request with the server's default deadline policy;
-    /// returns immediately with a completion handle.
+    /// Submits a request without a deadline; returns immediately with a
+    /// completion handle.
     ///
     /// # Errors
     ///
@@ -285,11 +281,7 @@ impl Handle {
     /// [`ServeError::ModelPoisoned`], [`ServeError::BadRequest`] (shape),
     /// [`ServeError::Busy`] (backpressure), [`ServeError::ShuttingDown`].
     pub fn submit(&self, model: &str, input: Tensor<i32>) -> Result<PendingResponse, ServeError> {
-        let deadline = match self.shared.cfg.default_deadline_ns {
-            0 => NO_DEADLINE,
-            d => self.shared.clock.now_ns().saturating_add(d),
-        };
-        self.submit_inner(model, input, deadline)
+        self.submit_inner(model, input, NO_DEADLINE)
     }
 
     /// Submits with an explicit deadline budget from now.
@@ -373,10 +365,12 @@ impl Handle {
         match queue.admit(job, admitted.group(), rows, now, deadline_ns) {
             Ok(_) => {
                 t2c_obs::gauge_set("serve.queue_depth", queue.len() as f64);
-                // Wakeup coalescing: only an empty queue lets workers sleep
-                // untimed, and only a full group can cut a batch before the
-                // head's timer; any other admission joins a queue that a
-                // worker already answers for (see `worker_loop`).
+                // Wakeup coalescing: workers sleep only on an empty queue,
+                // so admission into one must wake a worker. A group that
+                // just filled a batch wakes one more, so a second idle
+                // worker can start before the first has cut its batch; any
+                // other admission joins a queue that a worker already
+                // answers for (see `worker_loop`).
                 let batch_full = queue.group_rows(admitted.group()) >= shared.cfg.batch.max_batch;
                 drop(queue);
                 if was_empty || batch_full {
@@ -530,11 +524,12 @@ fn snapshot(shared: &Shared) -> StatsSnapshot {
 /// One worker: cut the next batch under the queue lock, run it with the
 /// lock dropped, repeat.
 ///
-/// Wakeup invariant: a worker sleeps without a timer only when the queue
-/// is empty, and every transition that makes work available notifies
-/// (admission into an empty queue or filling a group, a dispatch that
-/// leaves work behind, the start of drain). A non-empty queue thus always
-/// has a worker running a batch or sleeping on the head's flush timer.
+/// Wakeup invariant: a worker sleeps only when the queue is empty, and
+/// every transition that makes work available notifies (admission into an
+/// empty queue or filling a group, a dispatch that leaves work behind, the
+/// start of drain). A non-empty queue thus always has a worker running a
+/// batch, which polls the queue again before it sleeps, or one that was
+/// notified and has yet to take the lock.
 fn worker_loop(shared: &Arc<Shared>) {
     // One scratch arena per worker: compiled plans execute inside it,
     // growing it monotonically to the largest model × batch seen. Reusing
@@ -549,32 +544,19 @@ fn worker_loop(shared: &Arc<Shared>) {
             t2c_obs::counter_add("serve.deadline_exceeded", 1);
             ticket.payload.pending.fulfill(Err(ServeError::DeadlineExceeded));
         }
-        match queue.next_batch(now) {
-            Decision::Dispatch(batch) => {
-                t2c_obs::gauge_set("serve.queue_depth", queue.len() as f64);
-                let more = !queue.is_empty();
-                drop(queue);
-                if more {
-                    shared.wakeup.notify_one();
-                }
-                process_batch(shared, batch, &mut arena);
-                queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(batch) = queue.next_batch() {
+            t2c_obs::gauge_set("serve.queue_depth", queue.len() as f64);
+            let more = !queue.is_empty();
+            drop(queue);
+            if more {
+                shared.wakeup.notify_one();
             }
-            Decision::WaitUntil(at) => {
-                // Cap the real wait so fake-clock tests stay responsive.
-                let dur = Duration::from_nanos(at.saturating_sub(now).clamp(1, 5_000_000));
-                queue = shared
-                    .wakeup
-                    .wait_timeout(queue, dur)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
-            Decision::Idle => {
-                if shared.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                queue = shared.wakeup.wait(queue).unwrap_or_else(PoisonError::into_inner);
-            }
+            process_batch(shared, batch, &mut arena);
+            queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        } else if shared.stop.load(Ordering::Acquire) {
+            break;
+        } else {
+            queue = shared.wakeup.wait(queue).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -641,7 +623,10 @@ fn process_batch(shared: &Arc<Shared>, tickets: Vec<Ticket<Job>>, arena: &mut Ar
     // bit-identical to the interpreter).
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         #[cfg(test)]
-        tests::inject_fault(model.name(), &joined);
+        {
+            tests::inject_fault(model.name(), &joined);
+            tests::hold(model.name());
+        }
         model.plan.run_quantized(&joined, arena)
     }));
     match outcome {
@@ -787,11 +772,73 @@ mod tests {
         admitted.quantize(&x)
     }
 
+    /// Models named with this prefix block inside the worker until the
+    /// test releases them by name (see [`Held`]), which keeps a worker
+    /// busy for exactly as long as a test needs queued work to stay put.
+    /// Each test holds its own name, so tests running in parallel never
+    /// release each other.
+    const HELD: &str = "held";
+
+    /// Held model names: `false` while a worker is blocked on the name,
+    /// `true` once released.
+    static HOLDS: Mutex<Vec<(String, bool)>> = Mutex::new(Vec::new());
+    static HOLDS_CHANGED: Condvar = Condvar::new();
+
+    pub(super) fn hold(model: &str) {
+        if !model.starts_with(HELD) {
+            return;
+        }
+        let mut holds = HOLDS.lock().unwrap_or_else(PoisonError::into_inner);
+        if !holds.iter().any(|(m, _)| m == model) {
+            holds.push((model.to_string(), false));
+            HOLDS_CHANGED.notify_all();
+        }
+        while !holds.iter().any(|(m, released)| m == model && *released) {
+            holds = HOLDS_CHANGED.wait(holds).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// A worker blocked by [`hold_the_worker`]. Dropping it releases the
+    /// worker too, so a failing assertion cannot leave the server's
+    /// shutdown waiting on it forever.
+    struct Held(String);
+
+    impl Held {
+        /// Lets the held worker finish its batch.
+        fn release(&self) {
+            let mut holds = HOLDS.lock().unwrap_or_else(PoisonError::into_inner);
+            for (m, released) in holds.iter_mut() {
+                *released |= *m == self.0;
+            }
+            HOLDS_CHANGED.notify_all();
+        }
+    }
+
+    impl Drop for Held {
+        fn drop(&mut self) {
+            self.release();
+        }
+    }
+
+    /// Submits one request to a fresh `held-<tag>` copy of the MLP and
+    /// returns once the server's only worker is blocked running it.
+    fn hold_the_worker(reg: &ModelRegistry, handle: &Handle, tag: &str) -> (Held, PendingResponse) {
+        let name = format!("{HELD}-{tag}");
+        let (m, dims) = zoo::tiny_mlp();
+        let admitted = reg.admit(&name, m, &dims).expect("tiny_mlp passes the gate");
+        let pending = handle.submit(&name, codes_for(&admitted, 1, 0)).unwrap();
+        let mut holds = HOLDS.lock().unwrap_or_else(PoisonError::into_inner);
+        while !holds.iter().any(|(m, _)| *m == name) {
+            holds = HOLDS_CHANGED.wait(holds).unwrap_or_else(PoisonError::into_inner);
+        }
+        (Held(name), pending)
+    }
+
     #[test]
     fn served_results_match_direct_execution_under_concurrency() {
         let (reg, admitted) = mlp_registry();
         let cfg = ServerConfig {
-            batch: BatchConfig { max_batch: 8, max_delay_ns: 500_000, queue_cap: 256 },
+            batch: BatchConfig { max_batch: 8, queue_cap: 256 },
             workers: 3,
             ..ServerConfig::default()
         };
@@ -820,28 +867,32 @@ mod tests {
     #[test]
     fn saturation_rejects_busy_and_drain_still_resolves_queued_work() {
         let (reg, admitted) = mlp_registry();
-        // Batches never flush on their own: the window is huge and the
-        // batch bound unreachable, so the queue fills deterministically.
+        // The only worker is held, so the queue fills deterministically.
         let cfg = ServerConfig {
-            batch: BatchConfig { max_batch: 1_000, max_delay_ns: u64::MAX / 2, queue_cap: 4 },
+            batch: BatchConfig { max_batch: 1_000, queue_cap: 4 },
             workers: 1,
             ..ServerConfig::default()
         };
         let server = Server::start(Arc::clone(&reg), cfg);
         let handle = server.handle();
+        let (held, held_req) = hold_the_worker(&reg, &handle, "saturation");
         let mut pending = Vec::new();
         for i in 0..4 {
             pending.push(handle.submit("mlp", codes_for(&admitted, 1, i)).unwrap());
         }
         let rejected = handle.submit("mlp", codes_for(&admitted, 1, 99));
         assert_eq!(rejected.err(), Some(ServeError::Busy), "5th request must hit backpressure");
-        // Graceful drain flushes the four queued requests.
+        // Drain starts while the four requests are still queued; graceful
+        // drain then flushes them.
+        server.shared.queue.lock().unwrap_or_else(PoisonError::into_inner).start_drain();
+        held.release();
         let handle2 = handle.clone();
         let stats = server.shutdown();
+        held_req.wait().expect("the held request completes");
         for p in pending {
             p.wait().expect("drained request must resolve with a result");
         }
-        assert_eq!(stats.completed, 4);
+        assert_eq!(stats.completed, 5);
         assert_eq!(stats.rejected_busy, 1);
         // After shutdown the batcher is draining: no new admissions.
         let late = handle2.submit("mlp", codes_for(&admitted, 1, 7));
@@ -853,21 +904,25 @@ mod tests {
         let (reg, admitted) = mlp_registry();
         let clock = Arc::new(FakeClock::new(1_000));
         let cfg = ServerConfig {
-            batch: BatchConfig { max_batch: 1_000, max_delay_ns: u64::MAX / 2, queue_cap: 16 },
+            batch: BatchConfig { max_batch: 1_000, queue_cap: 16 },
             workers: 1,
             ..ServerConfig::default()
         };
         let server =
             Server::start_with_clock(Arc::clone(&reg), cfg, Arc::<FakeClock>::clone(&clock));
         let handle = server.handle();
+        let (held, held_req) = hold_the_worker(&reg, &handle, "deadline");
         let doomed = handle.submit_within("mlp", codes_for(&admitted, 1, 0), 5_000).unwrap();
-        // Nothing sleeps: advance fake time past the deadline and let the
-        // batcher's next poll expire the ticket; wait() blocks until then.
+        // Nothing sleeps: advance fake time past the deadline, release the
+        // worker and let its next poll expire the ticket; wait() blocks
+        // until then.
         clock.advance(10_000);
+        held.release();
         assert_eq!(doomed.wait().err(), Some(ServeError::DeadlineExceeded));
+        held_req.wait().expect("the held request completes");
         let stats = server.shutdown();
         assert_eq!(stats.deadline_exceeded, 1);
-        assert_eq!(stats.completed, 0);
+        assert_eq!(stats.completed, 1);
     }
 
     #[test]
@@ -877,13 +932,14 @@ mod tests {
         // Tiny queue so the test can also prove the rejection happens
         // before the capacity check.
         let cfg = ServerConfig {
-            batch: BatchConfig { max_batch: 1_000, max_delay_ns: u64::MAX / 2, queue_cap: 2 },
+            batch: BatchConfig { max_batch: 1_000, queue_cap: 2 },
             workers: 1,
             ..ServerConfig::default()
         };
         let server =
             Server::start_with_clock(Arc::clone(&reg), cfg, Arc::<FakeClock>::clone(&clock));
         let handle = server.handle();
+        let (held, held_req) = hold_the_worker(&reg, &handle, "arrival");
         // A zero budget makes deadline == now: dead on arrival. The
         // rejection is synchronous — no ticket is queued, no worker runs.
         let dead = handle.submit_within("mlp", codes_for(&admitted, 1, 0), 0);
@@ -893,14 +949,17 @@ mod tests {
         let p1 = handle.submit("mlp", codes_for(&admitted, 1, 2)).unwrap();
         // With the queue full, an expired request still reports the
         // deadline — the caller's real problem — rather than Busy.
+        assert_eq!(handle.stats().queue_depth, 2);
         let dead_on_full = handle.submit_within("mlp", codes_for(&admitted, 1, 3), 0);
         assert_eq!(dead_on_full.err(), Some(ServeError::DeadlineExceeded));
+        held.release();
         let stats = server.shutdown();
+        held_req.wait().expect("the held request completes");
         p0.wait().expect("queued request must drain");
         p1.wait().expect("queued request must drain");
         assert_eq!(stats.deadline_exceeded, 2);
         assert_eq!(stats.rejected_busy, 0);
-        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.completed, 3);
     }
 
     /// Models named with this prefix panic inside the worker on any
@@ -935,7 +994,7 @@ mod tests {
         let good = reg.admit("mlp", healthy, &hdims).unwrap();
 
         let cfg = ServerConfig {
-            batch: BatchConfig { max_batch: 4, max_delay_ns: 100_000, queue_cap: 64 },
+            batch: BatchConfig { max_batch: 4, queue_cap: 64 },
             workers: 2,
             max_panics: 2,
             ..ServerConfig::default()
@@ -971,7 +1030,7 @@ mod tests {
     fn sampled_dual_path_audit_sees_zero_divergence_on_a_sound_model() {
         let (reg, admitted) = mlp_registry();
         let cfg = ServerConfig {
-            batch: BatchConfig { max_batch: 4, max_delay_ns: 200_000, queue_cap: 64 },
+            batch: BatchConfig { max_batch: 4, queue_cap: 64 },
             workers: 2,
             audit_every: 2,
             ..ServerConfig::default()
@@ -1012,7 +1071,7 @@ mod tests {
         let (reg, admitted) = mlp_registry();
         let bound = admitted.certified_error_steps().expect("tiny_mlp certifies");
         let cfg = ServerConfig {
-            batch: BatchConfig { max_batch: 4, max_delay_ns: 200_000, queue_cap: 64 },
+            batch: BatchConfig { max_batch: 4, queue_cap: 64 },
             workers: 2,
             audit_every: 1,
             ..ServerConfig::default()
@@ -1033,16 +1092,17 @@ mod tests {
 
     #[test]
     fn in_flight_requests_complete_on_the_old_version_across_a_swap() {
-        // Batches never flush on their own, so v1's tickets are still
-        // queued when the swap lands; drain resolves everything.
+        // The only worker is held, so v1's tickets are still queued when
+        // the swap lands; drain resolves everything.
         let (reg, v1) = mlp_registry();
         let cfg = ServerConfig {
-            batch: BatchConfig { max_batch: 1_000, max_delay_ns: u64::MAX / 2, queue_cap: 16 },
+            batch: BatchConfig { max_batch: 1_000, queue_cap: 16 },
             workers: 1,
             ..ServerConfig::default()
         };
         let server = Server::start(Arc::clone(&reg), cfg);
         let handle = server.handle();
+        let (held, held_req) = hold_the_worker(&reg, &handle, "swap");
         let x = Tensor::from_fn(v1.input_dims(), |i| (i as f32) * 0.013 - 0.4);
         let old_codes = v1.quantize(&x);
         let want_old = v1.model().run_quantized(&old_codes).unwrap();
@@ -1056,15 +1116,18 @@ mod tests {
         let want_new = v2.model().run_quantized(&old_codes).unwrap();
         assert_ne!(want_old.as_slice(), want_new.as_slice(), "versions must differ");
         let p_new = handle.submit("mlp", old_codes).unwrap();
+        held.release();
         let stats = server.shutdown();
+        held_req.wait().expect("the held request completes");
         // The in-flight v1 requests completed on the graph they were
         // admitted under; the post-swap request ran v2. Fresh batching
         // groups guarantee the drain never mixed them into one batch.
         assert_eq!(p_old_a.wait().unwrap().as_slice(), want_old.as_slice());
         assert_eq!(p_old_b.wait().unwrap().as_slice(), want_old.as_slice());
         assert_eq!(p_new.wait().unwrap().as_slice(), want_new.as_slice());
-        assert_eq!(stats.completed, 3);
-        assert!(stats.batches >= 2, "v1 and v2 tickets must dispatch as separate batches");
+        assert_eq!(stats.completed, 4);
+        // One batch is the held request's.
+        assert!(stats.batches >= 3, "v1 and v2 tickets must dispatch as separate batches");
     }
 
     #[test]
@@ -1077,7 +1140,7 @@ mod tests {
         let clock = Arc::new(FakeClock::new(1_000));
         let cooldown = 1_000_000u64;
         let cfg = ServerConfig {
-            batch: BatchConfig { max_batch: 1, max_delay_ns: 0, queue_cap: 16 },
+            batch: BatchConfig { max_batch: 1, queue_cap: 16 },
             workers: 1,
             max_panics: 1,
             breaker_cooldown_ns: cooldown,
@@ -1107,9 +1170,8 @@ mod tests {
 
     #[test]
     fn idle_server_dispatches_a_lone_request_without_waiting() {
-        // Frozen fake time: a request that had to wait for a flush window
-        // would never dispatch. With the default policy an idle worker
-        // takes it at once.
+        // Frozen fake time: only the admission itself can wake the
+        // worker, and with the default policy it takes the request at once.
         let (reg, admitted) = mlp_registry();
         let clock = Arc::new(FakeClock::new(1_000));
         let server = Server::start_with_clock(
@@ -1120,7 +1182,7 @@ mod tests {
         let codes = codes_for(&admitted, 1, 3);
         let want = admitted.model().run_quantized(&codes).unwrap();
         let pending = server.handle().submit("mlp", codes).unwrap();
-        let got = pending.wait_timeout(Duration::from_secs(5)).expect("must not wait out a window");
+        let got = pending.wait_timeout(Duration::from_secs(5)).expect("must dispatch at once");
         assert_eq!(got.unwrap().as_slice(), want.as_slice());
         let stats = server.shutdown();
         assert_eq!((stats.completed, stats.batches), (1, 1));
@@ -1128,25 +1190,19 @@ mod tests {
 
     #[test]
     fn requests_arriving_while_workers_are_busy_share_the_next_batch() {
-        // One worker held 200 ms per batch: the first request occupies it,
-        // and the eight that arrive meanwhile must leave together once it
-        // is free, not as singletons cut while it was busy.
+        // The only worker is held on a first request (to a copy of the same
+        // MLP), and the eight that arrive meanwhile must leave together once
+        // it is free, not as singletons cut while it was busy.
         let (reg, admitted) = mlp_registry();
-        let cfg = ServerConfig {
-            batch: BatchConfig { max_delay_ns: 0, ..BatchConfig::default() },
-            workers: 1,
-            pace_batch_ns: 200_000_000,
-            ..ServerConfig::default()
-        };
-        let server = Server::start(Arc::clone(&reg), cfg);
+        let server =
+            Server::start(Arc::clone(&reg), ServerConfig { workers: 1, ..ServerConfig::default() });
         let handle = server.handle();
-        let mut pending = vec![handle.submit("mlp", codes_for(&admitted, 1, 0)).unwrap()];
-        while handle.stats().batches < 1 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let (held, held_req) = hold_the_worker(&reg, &handle, "backlog");
+        let mut pending = vec![held_req];
         for i in 1..9 {
             pending.push(handle.submit("mlp", codes_for(&admitted, 1, i)).unwrap());
         }
+        held.release();
         for (i, p) in pending.into_iter().enumerate() {
             let want = admitted.model().run_quantized(&codes_for(&admitted, 1, i)).unwrap();
             assert_eq!(p.wait().unwrap().as_slice(), want.as_slice(), "request {i}");

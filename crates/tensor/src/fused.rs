@@ -101,9 +101,9 @@ pub enum RowChannels {
 /// is written to `out` and then passed to `epi(run, RowChannels::From(c))`,
 /// `c` the panel's first channel, which must rewrite every value as a pure
 /// function of that value and its channel. Bit-identical to
-/// [`crate::packed::matmul_i32_sat_packed`] followed by that element-wise
-/// map, at any thread count. Performs no heap allocation when the resolved
-/// worker count is 1.
+/// `Tensor::matmul_i` against the unpacked, transposed weight followed by
+/// that element-wise map, at any thread count and under either ISA.
+/// Performs no heap allocation when the resolved worker count is 1.
 ///
 /// # Errors
 ///
@@ -505,7 +505,6 @@ fn record_fused(op: &str, m: usize, k: usize, n: usize) {
 mod tests {
     use super::*;
     use crate::isa::{last_dispatched, with_isa, Isa};
-    use crate::packed::matmul_i32_sat_packed;
     use crate::parallel::with_threads;
     use crate::sparse::matmul_sparse_i;
     use crate::Tensor;
@@ -556,7 +555,8 @@ mod tests {
             let x = pseudo_i(&[m, k], 11, 255);
             let w = pseudo_i(&[n, k], 13, 255);
             let packed = PackedMat::from_weight(&w).unwrap();
-            let expect: Vec<i32> = matmul_i32_sat_packed(&x, &packed)
+            let expect: Vec<i32> = x
+                .matmul_i(&w.transpose().unwrap())
                 .unwrap()
                 .as_slice()
                 .iter()
@@ -587,7 +587,8 @@ mod tests {
             _ => -(i as i32 % 97),
         });
         let packed = PackedMat::from_weight(&w).unwrap();
-        let expect: Vec<i32> = matmul_i32_sat_packed(&x, &packed)
+        let expect: Vec<i32> = x
+            .matmul_i(&w.transpose().unwrap())
             .unwrap()
             .as_slice()
             .iter()

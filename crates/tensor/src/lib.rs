@@ -57,7 +57,7 @@ pub mod sparse;
 pub use error::TensorError;
 pub use fused::{conv2d_fused_into, gemm_fused_into, spmm_fused_into, ConvWeight, RowChannels};
 pub use isa::{isa, with_isa, Isa};
-pub use packed::{matmul_i32_sat_packed, PackedMat};
+pub use packed::PackedMat;
 pub use parallel::{num_threads, set_num_threads, with_threads};
 pub use shape::Shape;
 pub use sparse::{matmul_sparse_i, SparseEncoding, SparseError, SparseMat};

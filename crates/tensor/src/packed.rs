@@ -1,4 +1,4 @@
-//! Packed integer weights and the cache-blocked saturating matmul.
+//! Packed integer weights and the cache-blocked saturating tile loop.
 //!
 //! The serving hot path multiplies a fixed weight matrix against a stream
 //! of small activation batches. [`PackedMat`] pre-transforms such a weight
@@ -32,7 +32,8 @@
 //!
 //! # Bit-identity with the naive kernel
 //!
-//! [`matmul_i32_sat_packed`] is bit-identical to `Tensor::matmul_i`
+//! The plan's packed GEMM ([`crate::fused::gemm_fused_into`], built on
+//! this module's tile loop) is bit-identical to `Tensor::matmul_i`
 //! against the unpacked transposed weight, by the same argument the skip-zero
 //! sparse kernel uses: the dense kernel clamps the i64 accumulator back
 //! into `i32` range after **every** MAC, so the running accumulator is
@@ -43,8 +44,8 @@
 //! index `p = 0..k` strictly ascending and applies the same clamp after
 //! each MAC. Skipped zero activations contribute only zero products. The
 //! per-element sequence of effective accumulator updates is therefore
-//! identical, tiles are disjoint [`crate::parallel`] units owned by exactly
-//! one worker, and results are bit-identical at any thread count.
+//! identical, output rows are disjoint [`crate::parallel`] units owned by
+//! exactly one worker, and results are bit-identical at any thread count.
 //!
 //! The packed kernel additionally carries a **saturation-free fast path**:
 //! each panel stores `max |w|` over its entries, and for an activation row
@@ -65,11 +66,9 @@
 //! multiply-add) and the baseline one (4 lanes on x86-64), and runs the
 //! one [`crate::isa::isa`] selects for the calling thread (see
 //! [`crate::isa`](mod@crate::isa)). Both run the same per-element chain, so the results
-//! are identical. [`matmul_i32_sat_packed`], which no plan runs, calls the
-//! baseline instantiation only.
+//! are identical.
 
 use crate::ops::require_rank;
-use crate::parallel::par_units;
 use crate::{Result, Tensor, TensorError};
 
 /// Panel width in output channels; matches the f32 kernel's cache-block
@@ -223,18 +222,6 @@ fn max_abs(vals: &[i32]) -> u32 {
     vals.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0)
 }
 
-/// Records call/MAC/byte counters for a packed product. One branch when
-/// profiling is disabled.
-fn record_packed(op: &str, m: usize, k: usize, n: usize) {
-    if t2c_obs::enabled() {
-        let (m, k, n) = (m as u64, k as u64, n as u64);
-        t2c_obs::counter_add(&format!("{op}.calls"), 1);
-        t2c_obs::counter_add(&format!("{op}.macs"), m * k * n);
-        t2c_obs::counter_add(&format!("{op}.elements"), m * n);
-        t2c_obs::counter_add(&format!("{op}.bytes"), (m * k + k * n + m * n) * 4);
-    }
-}
-
 /// Accumulates a `rows × PANEL` output tile against one weight panel.
 ///
 /// `a` holds at least `rows` activation rows of length `k`; `pdata` is one
@@ -306,63 +293,9 @@ pub(crate) fn saturation_free(a: &[i32], rows: usize, k: usize, wmax: u32) -> bo
     })
 }
 
-/// Packed integer matrix product: `[m, k]` activations × packed `[n, k]`
-/// weight → `[m, n]`, with the same per-MAC i64→i32 saturation as
-/// `Tensor::matmul_i` — bit-identical to
-/// `x.matmul_i(&w.unpack()?.transpose()?)` at any thread count (see the
-/// module docs).
-///
-/// Work is partitioned over `(panel, row-block)` tiles through
-/// [`crate::parallel`]: each tile is one unit of a panel-major scratch
-/// buffer owned by exactly one worker, then gathered into the row-major
-/// result with the panel padding dropped.
-///
-/// # Errors
-///
-/// Returns an error if `x` is not rank 2, the reduction dimensions
-/// disagree, or the packed structure is invalid.
-pub fn matmul_i32_sat_packed(x: &Tensor<i32>, w: &PackedMat) -> Result<Tensor<i32>> {
-    require_rank(x, 2, "matmul_i32_sat_packed")?;
-    w.validate()?;
-    let (m, k) = (x.dim(0), x.dim(1));
-    if k != w.k {
-        return Err(TensorError::ShapeMismatch {
-            lhs: x.dims().to_vec(),
-            rhs: vec![w.n, w.k],
-            op: "matmul_i32_sat_packed",
-        });
-    }
-    let n = w.n;
-    let _t = t2c_obs::Timer::scoped("kernel.matmul_i32_packed.time_ns");
-    record_packed("kernel.matmul_i32_packed", m, k, n);
-    let panels = w.panels();
-    let mb = m.div_ceil(MR);
-    let xs = x.as_slice();
-    let mut tiles = vec![0i32; panels * mb * MR * PANEL];
-    par_units(&mut tiles, MR * PANEL, |u0, run| {
-        for (i, tile) in run.chunks_mut(MR * PANEL).enumerate() {
-            let (t, ib) = ((u0 + i) / mb, (u0 + i) % mb);
-            let i0 = ib * MR;
-            let rows = MR.min(m - i0);
-            let pdata = &w.data[t * k * PANEL..(t + 1) * k * PANEL];
-            packed_tile(&xs[i0 * k..], rows, k, pdata, w.panel_max[t], tile);
-        }
-    });
-    let mut out = vec![0i32; m * n];
-    for t in 0..panels {
-        let cols = PANEL.min(n - t * PANEL);
-        for (i, orow) in out.chunks_mut(n).enumerate() {
-            let src = (t * mb + i / MR) * MR * PANEL + (i % MR) * PANEL;
-            orow[t * PANEL..t * PANEL + cols].copy_from_slice(&tiles[src..src + cols]);
-        }
-    }
-    Tensor::from_vec(out, &[m, n])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::with_threads;
     use crate::Tensor;
 
     fn pseudo_i(dims: &[usize], seed: u64, span: i64) -> Tensor<i32> {
@@ -370,10 +303,6 @@ mod tests {
             let h = (i as u64).wrapping_mul(6364136223846793005).wrapping_add(seed);
             ((h >> 33) as i64 % span - span / 2) as i32
         })
-    }
-
-    fn dense_reference(x: &Tensor<i32>, w: &Tensor<i32>) -> Tensor<i32> {
-        x.matmul_i(&w.transpose().unwrap()).unwrap()
     }
 
     #[test]
@@ -384,49 +313,6 @@ mod tests {
             packed.validate().unwrap();
             assert_eq!(packed.panels(), n.div_ceil(PANEL));
             assert_eq!(packed.unpack().unwrap().as_slice(), w.as_slice());
-        }
-    }
-
-    #[test]
-    fn packed_matmul_matches_dense_across_shapes_and_threads() {
-        // Shapes straddle the panel edge and the MR row-block edge.
-        for (m, k, n) in [(1, 1, 1), (3, 5, 2), (8, 16, 64), (9, 17, 65), (23, 40, 130)] {
-            let x = pseudo_i(&[m, k], 11, 255);
-            let w = pseudo_i(&[n, k], 13, 255);
-            let packed = PackedMat::from_weight(&w).unwrap();
-            let expect = dense_reference(&x, &w);
-            for threads in [1, 2, 8] {
-                let got = with_threads(threads, || matmul_i32_sat_packed(&x, &packed).unwrap());
-                assert_eq!(
-                    got.as_slice(),
-                    expect.as_slice(),
-                    "m={m} k={k} n={n} threads={threads}"
-                );
-                assert_eq!(got.dims(), &[m, n]);
-            }
-        }
-    }
-
-    #[test]
-    fn packed_matmul_saturates_identically_at_the_rails() {
-        // Large magnitudes force the per-MAC clamp to engage mid-reduction;
-        // interleaved zeros exercise the skip path.
-        let x = Tensor::from_fn(&[4, 9], |i| match i % 4 {
-            0 => i32::MAX,
-            1 => 0,
-            2 => i32::MIN,
-            _ => (i as i32 % 89) - 44,
-        });
-        let w = Tensor::from_fn(&[70, 9], |i| match i % 3 {
-            0 => i32::MAX / 2,
-            1 => 0,
-            _ => -(i as i32 % 97),
-        });
-        let packed = PackedMat::from_weight(&w).unwrap();
-        let expect = dense_reference(&x, &w);
-        for threads in [1, 4] {
-            let got = with_threads(threads, || matmul_i32_sat_packed(&x, &packed).unwrap());
-            assert_eq!(got.as_slice(), expect.as_slice(), "threads={threads}");
         }
     }
 
@@ -453,14 +339,5 @@ mod tests {
 
         let degenerate = PackedMat { n: 0, k: 4, data: Vec::new(), panel_max: Vec::new() };
         assert!(degenerate.validate().is_err());
-        assert!(matmul_i32_sat_packed(&pseudo_i(&[2, 4], 1, 10), &truncated).is_err());
-    }
-
-    #[test]
-    fn packed_matmul_rejects_mismatched_inner_dim() {
-        let w = pseudo_i(&[8, 5], 1, 10);
-        let packed = PackedMat::from_weight(&w).unwrap();
-        let x = pseudo_i(&[2, 6], 2, 10);
-        assert!(matmul_i32_sat_packed(&x, &packed).is_err());
     }
 }

@@ -1,5 +1,6 @@
-//! Bit-identity of the packed GEMM and fused conv kernels against the
-//! naive saturating kernels. Both reorder *memory traversal* only — every
+//! Bit-identity of the plan's packed GEMM and fused conv kernels
+//! (`gemm_fused_into`, `conv2d_fused_into`) against the naive saturating
+//! kernels. Both reorder *memory traversal* only — every
 //! output element still accumulates its k products in ascending order
 //! with the per-MAC `i64 → i32` clamp, or provably never reaches the
 //! clamp — so the results must match the dense kernels bit for bit at
@@ -10,8 +11,8 @@
 use proptest::prelude::*;
 use t2c_tensor::ops::{conv2d_i32, Conv2dSpec};
 use t2c_tensor::{
-    conv2d_fused_into, isa, matmul_i32_sat_packed, with_isa, with_threads, ConvWeight, Isa,
-    PackedMat, RowChannels, Tensor,
+    conv2d_fused_into, gemm_fused_into, isa, with_isa, with_threads, ConvWeight, Isa, PackedMat,
+    RowChannels, Tensor,
 };
 
 /// Every (ISA, thread count) pair the kernels must agree at: the baseline
@@ -20,11 +21,17 @@ fn sweep() -> impl Iterator<Item = (Isa, usize)> {
     [Isa::Scalar, isa()].into_iter().flat_map(|i| [1, 2, 4].map(|t| (i, t)))
 }
 
+/// A channel-tagging epilogue map, so a run handed over under the wrong
+/// channel shows in the output.
+fn tag(v: i32, ch: usize) -> i32 {
+    v.wrapping_mul(3).wrapping_add(ch as i32)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn packed_matmul_is_bit_identical_across_shapes_and_threads(
+    fn fused_gemm_is_bit_identical_across_shapes_and_threads(
         m in 1usize..20,
         k in 1usize..70,
         n in 1usize..140,
@@ -42,13 +49,31 @@ proptest! {
             .collect();
         let x = Tensor::from_vec(xv, &[m, k]).unwrap();
         let w = Tensor::from_vec(wv, &[n, k]).unwrap();
-        let reference = x.matmul_i(&w.transpose().unwrap()).unwrap();
+        let reference: Vec<i32> = x
+            .matmul_i(&w.transpose().unwrap())
+            .unwrap()
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| tag(v, i % n))
+            .collect();
         let packed = PackedMat::from_weight(&w).unwrap();
         for (isa, threads) in sweep() {
-            let got = with_isa(isa, || with_threads(threads, || matmul_i32_sat_packed(&x, &packed)))
-                .unwrap();
+            let mut out = vec![0i32; m * n];
+            with_isa(isa, || with_threads(threads, || {
+                gemm_fused_into(
+                    x.as_slice(), m, &packed,
+                    &|row: &mut [i32], chans: RowChannels| {
+                        let RowChannels::From(c0) = chans else { panic!("GEMM rows start a channel run") };
+                        for (j, v) in row.iter_mut().enumerate() {
+                            *v = tag(*v, c0 + j);
+                        }
+                    },
+                    &mut out,
+                )
+            })).unwrap();
             prop_assert_eq!(
-                got.as_slice(), reference.as_slice(),
+                out.as_slice(), reference.as_slice(),
                 "m={} k={} n={} {} threads={}", m, k, n, isa, threads
             );
         }
@@ -89,9 +114,6 @@ proptest! {
         let x = Tensor::from_vec(xv, &[nimg, c, hw, hw]).unwrap();
         let w = Tensor::from_vec(wv, &[oc, cg, kk, kk]).unwrap();
         let spec = Conv2dSpec { stride, padding, groups };
-        // A channel-tagging epilogue, so a row handed over under the wrong
-        // channel shows in the output.
-        let tag = |v: i32, ch: usize| v.wrapping_mul(3).wrapping_add(ch as i32);
         let plain = conv2d_i32(&x, &w, None, spec).unwrap();
         let l = plain.dim(2) * plain.dim(3);
         let reference: Vec<i32> = plain

@@ -37,11 +37,13 @@
 #      dense path and at least 1.5× faster on the zoo MLP at both 80%
 #      unstructured and 2:4 structured sparsity, with a schema-valid
 #      sparse_speedup.json
-#   9. gemm_pack: the packed panel GEMM kernel behind the compiled plan's
-#      fused Gemm steps must be bit-identical to the dense
+#   9. gemm_pack: gemm_fused_into, the packed panel GEMM the compiled
+#      plan's fused Gemm steps run (identity epilogue, on the ISA the
+#      host dispatches to), must be bit-identical to the dense
 #      interpreter path (per-call transpose + naive saturating matmul)
 #      at every swept shape and at least 1.5× faster at 64×1024×1024
-#      with 4 host threads, with a schema-valid gemm_pack.json
+#      with 4 host threads, with a schema-valid gemm_pack.json that
+#      names the dispatched ISA
 #   9b. plan_speedup: the compiled execution plan (fused MAC epilogues +
 #      arena-backed intermediates) must be bit-identical to the
 #      interpreter on the zoo MLP and on every conv/ViT zoo model, faster
@@ -147,7 +149,7 @@ grep -q '"pass": true' "$sparse_report" || { echo "$sparse_report did not pass";
 echo "==> gemm pack (plan panel-kernel gate, T2C_THREADS=4)"
 pack_report=$work/bench_results/gemm_pack.json
 (cd "$work" && T2C_THREADS=4 "$bin/gemm_pack")
-for key in version bench created_unix threads shapes dense_ns packed_ns \
+for key in version bench created_unix threads isa shapes dense_ns packed_ns \
     speedup bit_identical gate_speedup pass; do
     grep -q "\"$key\"" "$pack_report" || { echo "missing key '$key' in $pack_report"; exit 1; }
 done
