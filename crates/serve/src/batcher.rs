@@ -57,8 +57,6 @@ pub struct Ticket<T> {
     pub enqueued_ns: u64,
     /// Absolute expiry ([`NO_DEADLINE`] = none).
     pub deadline_ns: u64,
-    /// Admission order (monotonic per batcher).
-    pub seq: u64,
 }
 
 /// Pure micro-batching state machine. See the module docs.
@@ -70,7 +68,6 @@ pub struct MicroBatcher<T> {
     /// admission can decide in O(1) whether a batch just became full.
     rows_per_group: Vec<usize>,
     draining: bool,
-    next_seq: u64,
 }
 
 impl<T> MicroBatcher<T> {
@@ -78,13 +75,7 @@ impl<T> MicroBatcher<T> {
     /// are clamped to at least 1.
     pub fn new(cfg: BatchConfig) -> Self {
         let cfg = BatchConfig { max_batch: cfg.max_batch.max(1), queue_cap: cfg.queue_cap.max(1) };
-        MicroBatcher {
-            cfg,
-            queue: VecDeque::new(),
-            rows_per_group: Vec::new(),
-            draining: false,
-            next_seq: 0,
-        }
+        MicroBatcher { cfg, queue: VecDeque::new(), rows_per_group: Vec::new(), draining: false }
     }
 
     /// Queued request count.
@@ -119,10 +110,15 @@ impl<T> MicroBatcher<T> {
         self.draining = true;
     }
 
+    /// True once [`Self::start_drain`] has run.
+    #[cfg(test)]
+    pub(crate) fn is_draining(&self) -> bool {
+        self.draining
+    }
+
     /// Admits a request, or rejects it with [`ServeError::ShuttingDown`]
     /// (draining) / [`ServeError::DeadlineExceeded`] (already expired) /
-    /// [`ServeError::Busy`] (queue full). Returns the admission sequence
-    /// number.
+    /// [`ServeError::Busy`] (queue full).
     ///
     /// # Errors
     ///
@@ -139,7 +135,7 @@ impl<T> MicroBatcher<T> {
         rows: usize,
         now_ns: u64,
         deadline_ns: u64,
-    ) -> Result<u64, ServeError> {
+    ) -> Result<(), ServeError> {
         if self.draining {
             return Err(ServeError::ShuttingDown);
         }
@@ -149,19 +145,10 @@ impl<T> MicroBatcher<T> {
         if self.queue.len() >= self.cfg.queue_cap {
             return Err(ServeError::Busy);
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let rows = rows.max(1);
         self.bump_group(group, isize::try_from(rows).unwrap_or(isize::MAX));
-        self.queue.push_back(Ticket {
-            payload,
-            group,
-            rows,
-            enqueued_ns: now_ns,
-            deadline_ns,
-            seq,
-        });
-        Ok(seq)
+        self.queue.push_back(Ticket { payload, group, rows, enqueued_ns: now_ns, deadline_ns });
+        Ok(())
     }
 
     /// Removes `queue[i]` and takes its rows off its group's count.
@@ -173,19 +160,19 @@ impl<T> MicroBatcher<T> {
 
     /// Removes and returns every queued ticket whose deadline has passed,
     /// in admission order. Call before [`Self::next_batch`] so expired
-    /// requests never reach a worker. The queue is edited in place: a
-    /// poll with nothing expired only reads it.
+    /// requests never reach a worker. A poll with nothing expired only
+    /// reads the queue; otherwise it is split in one pass.
     pub fn take_expired(&mut self, now_ns: u64) -> Vec<Ticket<T>> {
-        let mut expired = Vec::new();
-        let mut i = 0;
-        while i < self.queue.len() {
-            if self.queue[i].deadline_ns <= now_ns {
-                expired.push(self.remove_at(i));
-            } else {
-                i += 1;
-            }
+        if !self.queue.iter().any(|t| t.deadline_ns <= now_ns) {
+            return Vec::new();
         }
-        expired
+        let (expired, keep): (VecDeque<_>, VecDeque<_>) =
+            std::mem::take(&mut self.queue).into_iter().partition(|t| t.deadline_ns <= now_ns);
+        self.queue = keep;
+        for t in &expired {
+            self.bump_group(t.group, -isize::try_from(t.rows).unwrap_or(isize::MAX));
+        }
+        expired.into()
     }
 
     /// Cuts the next batch, or `None` when the queue is empty.

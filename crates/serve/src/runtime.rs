@@ -363,7 +363,7 @@ impl Handle {
         let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
         let was_empty = queue.is_empty();
         match queue.admit(job, admitted.group(), rows, now, deadline_ns) {
-            Ok(_) => {
+            Ok(()) => {
                 t2c_obs::gauge_set("serve.queue_depth", queue.len() as f64);
                 // Wakeup coalescing: workers sleep only on an empty queue,
                 // so admission into one must wake a worker. A group that
@@ -882,12 +882,24 @@ mod tests {
         }
         let rejected = handle.submit("mlp", codes_for(&admitted, 1, 99));
         assert_eq!(rejected.err(), Some(ServeError::Busy), "5th request must hit backpressure");
-        // Drain starts while the four requests are still queued; graceful
-        // drain then flushes them.
-        server.shared.queue.lock().unwrap_or_else(PoisonError::into_inner).start_drain();
-        held.release();
-        let handle2 = handle.clone();
-        let stats = server.shutdown();
+        // Shutdown itself starts the drain while the four requests are still
+        // queued behind the held worker; graceful drain then flushes them.
+        let shared = Arc::clone(&server.shared);
+        let stats = std::thread::scope(move |scope| {
+            let shutdown = scope.spawn(move || server.shutdown());
+            let queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let (queue, waited) = shared
+                .wakeup
+                .wait_timeout_while(queue, Duration::from_secs(10), |q| !q.is_draining())
+                .unwrap_or_else(PoisonError::into_inner);
+            assert!(!waited.timed_out(), "shutdown must start draining the queue");
+            assert_eq!(queue.len(), 4, "drain starts before the queued requests run");
+            drop(queue);
+            // Moved into the scope, so a failed assertion above drops it
+            // and frees the worker before the scope joins the shutdown.
+            held.release();
+            shutdown.join().expect("shutdown completes")
+        });
         held_req.wait().expect("the held request completes");
         for p in pending {
             p.wait().expect("drained request must resolve with a result");
@@ -895,7 +907,7 @@ mod tests {
         assert_eq!(stats.completed, 5);
         assert_eq!(stats.rejected_busy, 1);
         // After shutdown the batcher is draining: no new admissions.
-        let late = handle2.submit("mlp", codes_for(&admitted, 1, 7));
+        let late = handle.submit("mlp", codes_for(&admitted, 1, 7));
         assert_eq!(late.err(), Some(ServeError::ShuttingDown));
     }
 
