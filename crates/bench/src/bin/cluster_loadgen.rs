@@ -2,16 +2,18 @@
 //! scale-out tier.
 //!
 //! Sweeps replica counts over the in-process cluster on the zoo MLP at
-//! 32-way client concurrency and records throughput scaling into
+//! 32-way client concurrency with the shared closed-loop driver
+//! ([`t2c_bench::load`]) and records throughput scaling into
 //! `bench_results/cluster_loadgen.json`. Two headline checks:
 //!
 //! 1. **Scale-out**: 4 replicas must deliver at least 2.5× the
-//!    throughput of 1 replica.
+//!    throughput of 1 replica, read as the median ratio over alternating
+//!    1-replica/4-replica pairs so one stalled run does not decide the gate.
 //! 2. **Losslessness**: a replica killed mid-run must lose zero
 //!    admitted requests — queued work drains, racing work re-routes.
 //!
-//! **`device_paced: true`** — this host is a single-CPU machine, so raw
-//! host-side compute cannot scale with replica count. Each replica's
+//! **Device-paced** — the host may have a single CPU, so raw host-side
+//! compute cannot scale with replica count. Each replica's
 //! runtime is therefore paced (`ServerConfig::pace_batch_ns`) to model a
 //! fixed-rate attached accelerator: every batch occupies its replica's
 //! device for a fixed minimum service time, exactly one batch at a time
@@ -27,13 +29,14 @@
 //! cargo run --release -p t2c-bench --bin cluster_loadgen
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::process::ExitCode;
+use std::time::Duration;
 
+use t2c_bench::load::ClosedLoop;
+use t2c_bench::percentile;
+use t2c_bench::report::{Case, Report};
 use t2c_cluster::{Cluster, ClusterConfig, RouterConfig};
 use t2c_serve::{BatchConfig, ModelRegistry, ServerConfig};
-use t2c_tensor::Tensor;
 
 /// Fixed per-batch device service time (1 ms → 4 rows/ms/replica at
 /// `max_batch = 4`). The batch size is half the per-replica client
@@ -43,35 +46,15 @@ use t2c_tensor::Tensor;
 const PACE_BATCH_NS: u64 = 1_000_000;
 const MAX_BATCH: usize = 4;
 const CONCURRENCY: usize = 32;
+/// 4-replica over 1-replica throughput floor.
+const FLOOR: f64 = 2.5;
+/// Alternating 1-replica/4-replica pairs whose median ratio is gated.
+const PAIRS: usize = 5;
 
-/// One measured configuration.
-struct RunResult {
-    replicas: usize,
-    concurrency: usize,
-    requests: usize,
-    completed: u64,
-    errors: u64,
-    retries: u64,
-    hedges: u64,
-    wall_ns: u64,
-    throughput_rps: f64,
-    p50_ns: u64,
-    p99_ns: u64,
-    killed_replica: bool,
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Runs one closed-loop configuration: `CONCURRENCY` client threads each
-/// issue `requests / CONCURRENCY` sequential routed requests. With
-/// `kill_mid_run`, one replica is killed while the run is in flight.
-fn run_config(replicas: usize, requests: usize, kill_mid_run: bool) -> RunResult {
+/// Runs and records one closed-loop configuration: `CONCURRENCY` client
+/// threads share `requests` routed requests. With `kill_mid_run`, one
+/// replica is killed while the run is in flight. Returns its throughput.
+fn run_config(report: &mut Report, replicas: usize, requests: usize, kill_mid_run: bool) -> f64 {
     let cfg = ClusterConfig {
         replicas,
         // Replication = replica count: the one benched model lives on
@@ -92,163 +75,61 @@ fn run_config(replicas: usize, requests: usize, kill_mid_run: bool) -> RunResult
     let admitted = reference.admit("ref", model.clone(), &dims).expect("reference admission");
     cluster.deploy("tiny-mlp", model, &dims).expect("cluster deploy");
 
-    let per_thread = requests.div_ceil(CONCURRENCY);
-    // Pre-generate payloads and their expected outputs outside the timed
-    // region; every routed result is checked for exactness.
-    let payloads: Vec<Vec<(Tensor<i32>, Vec<i32>)>> = (0..CONCURRENCY)
-        .map(|t| {
-            (0..per_thread)
-                .map(|r| {
-                    let salt = t * per_thread + r;
-                    let x = Tensor::from_fn(admitted.input_dims(), |i| {
-                        ((i * 131 + salt * 29) % 255) as f32 * 0.004 - 0.5
-                    });
-                    let codes = admitted.quantize(&x);
-                    let direct = admitted.model().run_quantized(&codes).expect("direct run");
-                    (codes, direct.as_slice().to_vec())
-                })
-                .collect()
-        })
-        .collect();
-    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(requests));
-    let errors = AtomicU64::new(0);
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for batch in payloads {
-            let cluster = cluster.clone();
-            let latencies = &latencies;
-            let errors = &errors;
-            scope.spawn(move || {
-                let mut mine = Vec::with_capacity(per_thread);
-                for (codes, direct) in batch {
-                    let t0 = Instant::now();
-                    match cluster.infer("tiny-mlp", codes) {
-                        Ok(out) if out.as_slice() == &direct[..] => {
-                            mine.push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(0));
-                        }
-                        _ => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                latencies.lock().unwrap().extend(mine);
-            });
-        }
+    let run = ClosedLoop::new(&admitted, CONCURRENCY, requests);
+    let load = std::thread::scope(|scope| {
         if kill_mid_run {
-            let cluster = cluster.clone();
-            scope.spawn(move || {
+            scope.spawn(|| {
                 // Land the kill squarely inside the run (the paced run
                 // takes well over 100 ms).
                 std::thread::sleep(Duration::from_millis(40));
                 assert!(cluster.kill_replica(1), "kill target must be live");
             });
         }
+        run.run(|codes| cluster.infer("tiny-mlp", codes))
     });
-    let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    if std::env::var_os("CLUSTER_LOADGEN_DEBUG").is_some() {
-        for (id, s) in cluster.replica_stats() {
-            eprintln!(
-                "debug: replica {id}: completed {} batches {} rows/batch {:.2}",
-                s.completed,
-                s.batches,
-                s.mean_batch_rows()
-            );
-        }
-    }
+    // Batch fill over the replicas still live at the end of the run.
+    let (rows, batches) = cluster
+        .replica_stats()
+        .iter()
+        .fold((0, 0), |(r, b), (_, s)| (r + s.batched_rows, b + s.batches));
     let stats = cluster.shutdown();
-    let mut lat = latencies.into_inner().unwrap();
-    lat.sort_unstable();
-    RunResult {
-        replicas,
-        concurrency: CONCURRENCY,
-        requests: per_thread * CONCURRENCY,
-        completed: lat.len() as u64,
-        errors: errors.into_inner(),
-        retries: stats.retries,
-        hedges: stats.hedges,
-        wall_ns,
-        throughput_rps: lat.len() as f64 / (wall_ns as f64 / 1e9),
-        p50_ns: percentile(&lat, 50.0),
-        p99_ns: percentile(&lat, 99.0),
-        killed_replica: kill_mid_run,
-    }
+    let case = Case::new()
+        .with("replicas", replicas)
+        .with("pace_batch_ns", PACE_BATCH_NS)
+        .with("concurrency", CONCURRENCY)
+        .with("killed_replica", kill_mid_run);
+    report.case(
+        load.record(case)
+            .with("retries", stats.retries)
+            .with("hedges", stats.hedges)
+            .with("mean_batch_rows", rows as f64 / batches.max(1) as f64),
+    );
+    load.throughput_rps
 }
 
-fn json_row(r: &RunResult) -> String {
-    format!(
-        "    {{\"replicas\": {}, \"concurrency\": {}, \"requests\": {}, \"completed\": {}, \
-         \"errors\": {}, \"retries\": {}, \"hedges\": {}, \"wall_ns\": {}, \
-         \"throughput_rps\": {:.2}, \"p50_ns\": {}, \"p99_ns\": {}, \"killed_replica\": {}}}",
-        r.replicas,
-        r.concurrency,
-        r.requests,
-        r.completed,
-        r.errors,
-        r.retries,
-        r.hedges,
-        r.wall_ns,
-        r.throughput_rps,
-        r.p50_ns,
-        r.p99_ns,
-        r.killed_replica
-    )
-}
-
-fn main() {
-    println!("| replicas | conc | reqs | rps | p50 µs | p99 µs | retries | hedges | kill |");
-    println!("|---|---|---|---|---|---|---|---|---|");
-    let mut results: Vec<RunResult> = Vec::new();
-    let mut show = |r: RunResult| {
-        println!(
-            "| {} | {} | {} | {:.0} | {:.0} | {:.0} | {} | {} | {} |",
-            r.replicas,
-            r.concurrency,
-            r.requests,
-            r.throughput_rps,
-            r.p50_ns as f64 / 1e3,
-            r.p99_ns as f64 / 1e3,
-            r.retries,
-            r.hedges,
-            r.killed_replica
-        );
-        results.push(r);
-    };
-
-    for &replicas in &[1usize, 2, 4] {
-        show(run_config(replicas, 2048, false));
-    }
+fn main() -> ExitCode {
+    let mut report = Report::new("cluster_loadgen");
+    // Each pair's order alternates so neither side always runs first.
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|pair| {
+            let (one, four) = if pair.is_multiple_of(2) {
+                let one = run_config(&mut report, 1, 2048, false);
+                (one, run_config(&mut report, 4, 2048, false))
+            } else {
+                let four = run_config(&mut report, 4, 2048, false);
+                (run_config(&mut report, 1, 2048, false), four)
+            };
+            four / one
+        })
+        .collect();
+    run_config(&mut report, 2, 2048, false);
     // The lossless-kill run: longer, with a replica killed in flight.
-    show(run_config(4, 4096, true));
+    run_config(&mut report, 4, 4096, true);
 
-    let base = results.iter().find(|r| r.replicas == 1).expect("1-replica baseline");
-    let four =
-        results.iter().find(|r| r.replicas == 4 && !r.killed_replica).expect("4-replica run");
-    let scaleout = four.throughput_rps / base.throughput_rps.max(1e-9);
-    let kill = results.iter().find(|r| r.killed_replica).expect("kill run");
-    let kill_lost = kill.requests as u64 - kill.completed + kill.errors;
-    let all_exact = results.iter().all(|r| r.errors == 0 && r.completed == r.requests as u64);
-    let pass = scaleout >= 2.5 && kill_lost == 0 && all_exact;
-    println!(
-        "\ncluster scale-out (4 replicas vs 1 @ conc {CONCURRENCY}): {scaleout:.2}x, \
-         kill-run lost requests: {kill_lost} — {}",
-        if pass { "pass" } else { "FAIL" }
-    );
-
-    let created = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let rows: Vec<String> = results.iter().map(json_row).collect();
-    let json = format!(
-        "{{\n  \"version\": 1,\n  \"bench\": \"cluster_loadgen\",\n  \"created_unix\": {created},\n  \
-         \"device_paced\": true,\n  \"pace_batch_ns\": {PACE_BATCH_NS},\n  \"configs\": [\n{}\n  ],\n  \
-         \"scaleout_4v1\": {scaleout:.3},\n  \"kill_lost_requests\": {kill_lost},\n  \"pass\": {pass}\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::create_dir_all("bench_results").expect("create bench_results");
-    let path = "bench_results/cluster_loadgen.json";
-    std::fs::write(path, json).expect("write cluster loadgen report");
-    println!("cluster loadgen report: {path}");
-    if !pass {
-        std::process::exit(1);
+    for (pair, &ratio) in ratios.iter().enumerate() {
+        report.case(Case::new().with("pair", pair).with("scaleout_4v1", ratio));
     }
+    ratios.sort_unstable_by(f64::total_cmp);
+    report.gate("median scale-out, 4 replicas over 1", FLOOR, percentile(&ratios, 50.0));
+    report.finish()
 }

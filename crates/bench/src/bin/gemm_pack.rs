@@ -16,17 +16,19 @@
 //! Both kernels are bit-identical by construction (per-MAC saturating
 //! accumulation in ascending k order); every measured shape re-checks
 //! that. Gates on the packed kernel delivering at least 1.5× the dense
-//! path at the largest shape; the report's `gate_speedup` is that floor
-//! and the measured value is the gate shape's `shapes[].speedup`, and its
-//! `isa` names the kernel instantiation that ran. Results land in
-//! `bench_results/gemm_pack.json`; exits non-zero when the gate fails —
+//! path at the largest shape; the report's `host.isa` names the kernel
+//! instantiation that ran. Results land in `bench_results/gemm_pack.json`
+//! ([`t2c_bench::report`]); exits non-zero when the gate fails —
 //! `scripts/verify.sh` runs it with `T2C_THREADS=4`.
 //!
 //! ```sh
 //! T2C_THREADS=4 cargo run --release -p t2c-bench --bin gemm_pack
 //! ```
 
+use std::process::ExitCode;
+
 use t2c_bench::paired_median;
+use t2c_bench::report::{Case, Report};
 use t2c_tensor::{gemm_fused_into, PackedMat, RowChannels, Tensor};
 
 /// Timed dense/packed pairs (median-of); two warm-up pairs precede them.
@@ -36,23 +38,14 @@ const GATE_SHAPE: (usize, usize, usize) = (64, 1024, 1024);
 /// Speedup floor at the gated shape.
 const FLOOR: f64 = 1.5;
 
-struct ShapeResult {
-    m: usize,
-    k: usize,
-    n: usize,
-    dense_ns: u64,
-    packed_ns: u64,
-    speedup: f64,
-    bit_identical: bool,
-}
-
 /// The plan's GEMM with a no-op epilogue: the raw saturating accumulators.
 fn packed_matmul(x: &Tensor<i32>, w: &PackedMat, out: &mut [i32]) {
     gemm_fused_into(x.as_slice(), x.dim(0), w, &|_: &mut [i32], _: RowChannels| {}, out)
         .expect("conforming shapes");
 }
 
-fn measure(m: usize, k: usize, n: usize) -> ShapeResult {
+/// Checks and times one shape and records its case; returns its speedup.
+fn measure(report: &mut Report, m: usize, k: usize, n: usize) -> f64 {
     // Activation codes on the int8 grid, weights [n, k] in the Linear
     // layer's [OUT, IN] orientation.
     let x = Tensor::from_fn(&[m, k], |i| ((i * 37) % 255) as i32 - 127);
@@ -79,76 +72,25 @@ fn measure(m: usize, k: usize, n: usize) -> ShapeResult {
             std::hint::black_box(&packed_out);
         },
     );
-    let r = ShapeResult {
-        m,
-        k,
-        n,
-        dense_ns: t.baseline_ns,
-        packed_ns: t.candidate_ns,
-        speedup: t.speedup,
-        bit_identical,
-    };
-    println!(
-        "| {}x{}x{} | {:.2} | {:.2} | {:.2}x | {} |",
-        r.m,
-        r.k,
-        r.n,
-        r.dense_ns as f64 / 1e6,
-        r.packed_ns as f64 / 1e6,
-        r.speedup,
-        if r.bit_identical { "bit-identical" } else { "MISMATCH" }
+    report.case(
+        Case::new()
+            .with("m", m)
+            .with("k", k)
+            .with("n", n)
+            .paired("dense_ns", "packed_ns", &t)
+            .with("bit_identical", bit_identical)
+            .pass(bit_identical),
     );
-    r
+    t.speedup
 }
 
-fn json_row(r: &ShapeResult) -> String {
-    format!(
-        "    {{\"m\": {}, \"k\": {}, \"n\": {}, \"dense_ns\": {}, \"packed_ns\": {}, \
-         \"speedup\": {:.3}, \"bit_identical\": {}}}",
-        r.m, r.k, r.n, r.dense_ns, r.packed_ns, r.speedup, r.bit_identical
-    )
-}
-
-fn main() {
-    println!(
-        "gemm-pack: packed panels vs dense interpreter path ({} host thread(s), isa {})",
-        t2c_tensor::num_threads(),
-        t2c_tensor::isa()
-    );
-    println!("| m x k x n | dense ms | packed ms | speedup | identity |");
-    println!("|---|---|---|---|---|");
-    let shapes =
-        [(1usize, 256usize, 128usize), (16, 256, 128), (272, 64, 32), (64, 512, 512), GATE_SHAPE];
-    let results: Vec<ShapeResult> = shapes.iter().map(|&(m, k, n)| measure(m, k, n)).collect();
-
-    let gate =
-        results.iter().find(|r| (r.m, r.k, r.n) == GATE_SHAPE).expect("gate shape is in the sweep");
-    let all_identical = results.iter().all(|r| r.bit_identical);
-    let pass = gate.speedup >= FLOOR && all_identical;
-    println!(
-        "\npacked speedup at {}x{}x{}: {:.2}x (floor {FLOOR:.2}x) — {}",
-        GATE_SHAPE.0,
-        GATE_SHAPE.1,
-        GATE_SHAPE.2,
-        gate.speedup,
-        if pass { "pass" } else { "FAIL" }
-    );
-
-    let created = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let rows: Vec<String> = results.iter().map(json_row).collect();
-    let json = format!(
-        "{{\n  \"version\": 1,\n  \"bench\": \"gemm_pack\",\n  \"created_unix\": {created},\n  \"threads\": {},\n  \"isa\": \"{}\",\n  \"shapes\": [\n{}\n  ],\n  \"gate_speedup\": {FLOOR},\n  \"pass\": {pass}\n}}\n",
-        t2c_tensor::num_threads(),
-        t2c_tensor::isa(),
-        rows.join(",\n"),
-    );
-    std::fs::create_dir_all("bench_results").expect("create bench_results");
-    let path = "bench_results/gemm_pack.json";
-    std::fs::write(path, json).expect("write gemm pack report");
-    println!("gemm pack report: {path}");
-    if !pass {
-        std::process::exit(1);
+fn main() -> ExitCode {
+    let mut report = Report::new("gemm_pack");
+    for (m, k, n) in [(1, 256, 128), (16, 256, 128), (272, 64, 32), (64, 512, 512), GATE_SHAPE] {
+        let speedup = measure(&mut report, m, k, n);
+        if (m, k, n) == GATE_SHAPE {
+            report.gate(&format!("speedup at {m}x{k}x{n}"), FLOOR, speedup);
+        }
     }
+    report.finish()
 }

@@ -1,80 +1,51 @@
 //! `loadgen` — closed-loop load generator for the `t2c-serve` runtime.
 //!
 //! Sweeps micro-batch × client-concurrency settings over the in-process
-//! serving handle and records throughput, latency percentiles and batch
-//! amortization into `bench_results/serve_loadgen.json`. The headline
-//! check runs **device-paced** (`ServerConfig::pace_batch_ns`, the
-//! `cluster_loadgen` convention): each batch dispatch is held to a fixed
-//! service time modeling one invocation of an attached accelerator
-//! board, and `max_batch=16` must then deliver at least 2× the
-//! throughput of `max_batch=1` on the zoo MLP at 32-way concurrency
-//! (ceiling 16×). The gate used to run unpaced — amortizing the
-//! interpreter's per-dispatch weight repack was worth 2× of raw host
-//! compute — but admission now compiles an execution plan (weights
-//! packed once, arena-backed intermediates), which made the batch-1
-//! baseline ~3× faster and left only noise-level host fixed costs for
-//! batching to amortize. Pacing restores a deterministic measurement of
-//! the win batching exists for: fewer invocations of a device whose
-//! per-dispatch cost does not shrink with smarter host code. The
-//! unpaced sweep is still measured and recorded as telemetry. The runtime
-//! cuts a batch whenever a worker is free and the queue is non-empty, so
-//! batches fill from the backlog that builds up while the paced worker is
-//! busy, never by waiting for stragglers.
+//! serving handle with the shared closed-loop driver
+//! ([`t2c_bench::load`]), checks every response against the interpreter,
+//! and records throughput, latency percentiles and batch amortization in
+//! `bench_results/serve_loadgen.json`. The gate runs **device-paced**
+//! (`ServerConfig::pace_batch_ns`, as `cluster_loadgen` does): each batch
+//! dispatch is held to a fixed service time modeling one invocation of an
+//! attached accelerator board, and `max_batch=16` must then deliver at
+//! least 2× the throughput of `max_batch=1` on the zoo MLP at 32-way
+//! concurrency (ceiling 16×). Unpaced, the compiled plan leaves only
+//! noise-level host fixed costs for batching to amortize, so the unpaced
+//! sweep is recorded but not gated. A free worker cuts a batch whenever
+//! the queue is non-empty, so batches fill from the backlog that builds
+//! up while the paced worker is busy.
 //!
 //! ```sh
-//! cargo run --release -p t2c-bench --bin loadgen            # full sweep + zoo
-//! cargo run --release -p t2c-bench --bin loadgen -- --quick # MLP sweep only
+//! cargo run --release -p t2c-bench --bin loadgen
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::process::ExitCode;
+use std::sync::Arc;
 
+use t2c_bench::load::ClosedLoop;
+use t2c_bench::report::{Case, Report};
 use t2c_serve::{BatchConfig, ModelRegistry, Server, ServerConfig};
-use t2c_tensor::Tensor;
 
 /// Fixed per-batch device service time for the paced gate configs —
 /// the same figure `cluster_loadgen` paces its replicas to (one
 /// invocation of an attached accelerator board per coalesced batch).
 const PACE_BATCH_NS: u64 = 1_000_000;
+/// Paced `max_batch=16` over `max_batch=1` throughput floor.
+const FLOOR: f64 = 2.0;
 
-/// One measured configuration.
-struct RunResult {
-    model: String,
-    max_batch: usize,
-    pace_batch_ns: u64,
-    concurrency: usize,
-    requests: usize,
-    completed: u64,
-    errors: u64,
-    rejected_busy: u64,
-    deadline_exceeded: u64,
-    wall_ns: u64,
-    throughput_rps: f64,
-    p50_ns: u64,
-    p99_ns: u64,
-    mean_batch_rows: f64,
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Runs one closed-loop configuration: `concurrency` client threads each
-/// issue `requests / concurrency` sequential in-process requests.
+/// Runs and records one closed-loop configuration: `concurrency` client
+/// threads share `requests` in-process requests. Returns its throughput.
 fn run_config(
+    report: &mut Report,
     registry: &Arc<ModelRegistry>,
     model: &str,
     max_batch: usize,
     concurrency: usize,
     requests: usize,
     pace_batch_ns: u64,
-) -> RunResult {
+) -> f64 {
     let admitted = registry.get(model).expect("model admitted");
+    let run = ClosedLoop::new(&admitted, concurrency, requests);
     let cfg = ServerConfig {
         batch: BatchConfig { max_batch, queue_cap: 4096 },
         workers: 2,
@@ -83,170 +54,47 @@ fn run_config(
     };
     let server = Server::start(Arc::clone(registry), cfg);
     let handle = server.handle();
-    let per_thread = requests.div_ceil(concurrency);
-    // Pre-generate every request payload outside the timed region so the
-    // measurement is the serving path, not the load generator's own input
-    // synthesis and quantization.
-    let payloads: Vec<Vec<Tensor<i32>>> = (0..concurrency)
-        .map(|t| {
-            (0..per_thread)
-                .map(|r| {
-                    let salt = t * per_thread + r;
-                    let x = Tensor::from_fn(admitted.input_dims(), |i| {
-                        ((i * 131 + salt * 29) % 255) as f32 * 0.004 - 0.5
-                    });
-                    admitted.quantize(&x)
-                })
-                .collect()
-        })
-        .collect();
-    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(requests));
-    let errors = AtomicU64::new(0);
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for batch in payloads {
-            let handle = handle.clone();
-            let admitted = &admitted;
-            let latencies = &latencies;
-            let errors = &errors;
-            scope.spawn(move || {
-                let mut mine = Vec::with_capacity(per_thread);
-                for codes in batch {
-                    let t0 = Instant::now();
-                    match handle.infer(admitted.name(), codes) {
-                        Ok(_) => mine.push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(0)),
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                latencies.lock().unwrap().extend(mine);
-            });
-        }
-    });
-    let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let load = run.run(|codes| handle.infer(model, codes));
     let stats = server.shutdown();
-    let mut lat = latencies.into_inner().unwrap();
-    lat.sort_unstable();
-    let throughput = stats.completed as f64 / (wall_ns as f64 / 1e9);
-    RunResult {
-        model: model.to_string(),
-        max_batch,
-        pace_batch_ns,
-        concurrency,
-        requests: per_thread * concurrency,
-        completed: stats.completed,
-        errors: errors.into_inner(),
-        rejected_busy: stats.rejected_busy,
-        deadline_exceeded: stats.deadline_exceeded,
-        wall_ns,
-        throughput_rps: throughput,
-        p50_ns: percentile(&lat, 50.0),
-        p99_ns: percentile(&lat, 99.0),
-        mean_batch_rows: stats.mean_batch_rows(),
-    }
+    let case = Case::new()
+        .with("model", model)
+        .with("max_batch", max_batch)
+        .with("pace_batch_ns", pace_batch_ns)
+        .with("concurrency", concurrency);
+    report.case(
+        load.record(case)
+            .with("rejected_busy", stats.rejected_busy)
+            .with("deadline_exceeded", stats.deadline_exceeded)
+            .with("mean_batch_rows", stats.mean_batch_rows()),
+    );
+    load.throughput_rps
 }
 
-fn json_row(r: &RunResult) -> String {
-    format!(
-        "    {{\"model\": \"{}\", \"max_batch\": {}, \"pace_batch_ns\": {}, \"concurrency\": {}, \
-         \"requests\": {}, \
-         \"completed\": {}, \"errors\": {}, \"rejected_busy\": {}, \"deadline_exceeded\": {}, \
-         \"wall_ns\": {}, \"throughput_rps\": {:.2}, \"p50_ns\": {}, \"p99_ns\": {}, \
-         \"mean_batch_rows\": {:.3}}}",
-        r.model,
-        r.max_batch,
-        r.pace_batch_ns,
-        r.concurrency,
-        r.requests,
-        r.completed,
-        r.errors,
-        r.rejected_busy,
-        r.deadline_exceeded,
-        r.wall_ns,
-        r.throughput_rps,
-        r.p50_ns,
-        r.p99_ns,
-        r.mean_batch_rows
-    )
-}
-
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+fn main() -> ExitCode {
     let registry = Arc::new(ModelRegistry::new());
     let (mlp, mlp_dims) = t2c_core::zoo::tiny_mlp();
     registry.admit("tiny-mlp", mlp, &mlp_dims).expect("tiny_mlp passes the lint gate");
+    let mut report = Report::new("serve_loadgen");
 
-    println!("| model | max_batch | pace µs | conc | reqs | rps | p50 µs | p99 µs | rows/batch |");
-    println!("|---|---|---|---|---|---|---|---|---|");
-    let mut results: Vec<RunResult> = Vec::new();
-    let mut show = |r: RunResult| {
-        println!(
-            "| {} | {} | {:.0} | {} | {} | {:.0} | {:.0} | {:.0} | {:.2} |",
-            r.model,
-            r.max_batch,
-            r.pace_batch_ns as f64 / 1e3,
-            r.concurrency,
-            r.requests,
-            r.throughput_rps,
-            r.p50_ns as f64 / 1e3,
-            r.p99_ns as f64 / 1e3,
-            r.mean_batch_rows
-        );
-        results.push(r);
-    };
-
-    // The host-compute sweep: batch × concurrency on the MLP (telemetry,
-    // not gated — with admission-compiled plans the host fixed costs are
-    // too small for an unpaced batching floor to be stable).
-    for &concurrency in &[8usize, 32] {
-        for &max_batch in &[1usize, 4, 16] {
-            show(run_config(&registry, "tiny-mlp", max_batch, concurrency, 2048, 0));
+    // The unpaced host-compute sweep (telemetry, see module doc).
+    for concurrency in [8, 32] {
+        for max_batch in [1, 4, 16] {
+            run_config(&mut report, &registry, "tiny-mlp", max_batch, concurrency, 2048, 0);
         }
     }
 
     // The gated pair: device-paced batch amortization (see module doc).
-    show(run_config(&registry, "tiny-mlp", 1, 32, 1024, PACE_BATCH_NS));
-    show(run_config(&registry, "tiny-mlp", 16, 32, 1024, PACE_BATCH_NS));
+    let b1 = run_config(&mut report, &registry, "tiny-mlp", 1, 32, 1024, PACE_BATCH_NS);
+    let b16 = run_config(&mut report, &registry, "tiny-mlp", 16, 32, 1024, PACE_BATCH_NS);
 
     // One pass per trained zoo model (admission through the lint gate is
     // part of what this measures end to end).
-    if !quick {
-        for (tag, build) in t2c_core::zoo::zoo() {
-            let (model, dims) = build();
-            registry.admit(tag, model, &dims).expect("zoo model passes the lint gate");
-            show(run_config(&registry, tag, 8, 8, 64, 0));
-        }
+    for (tag, build) in t2c_core::zoo::zoo() {
+        let (model, dims) = build();
+        registry.admit(tag, model, &dims).expect("zoo model passes the lint gate");
+        run_config(&mut report, &registry, tag, 8, 8, 64, 0);
     }
 
-    let b1 = results
-        .iter()
-        .find(|r| r.model == "tiny-mlp" && r.max_batch == 1 && r.pace_batch_ns > 0)
-        .expect("paced baseline config present");
-    let b16 = results
-        .iter()
-        .find(|r| r.model == "tiny-mlp" && r.max_batch == 16 && r.pace_batch_ns > 0)
-        .expect("paced batched config present");
-    let speedup = b16.throughput_rps / b1.throughput_rps.max(1e-9);
-    let pass =
-        speedup >= 2.0 && results.iter().all(|r| r.errors == 0 && r.completed == r.requests as u64);
-    println!(
-        "\nmlp batching speedup (max_batch 16 vs 1 @ conc 32, device-paced): {speedup:.2}x — {}",
-        if pass { "pass" } else { "FAIL" }
-    );
-
-    let created = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let rows: Vec<String> = results.iter().map(json_row).collect();
-    let json = format!
-("{{\n  \"version\": 1,\n  \"bench\": \"serve_loadgen\",\n  \"created_unix\": {created},\n  \"gate_pace_batch_ns\": {PACE_BATCH_NS},\n  \"configs\": [\n{}\n  ],\n  \"mlp_speedup_b16_vs_b1\": {speedup:.3},\n  \"pass\": {pass}\n}}\n",
-        rows.join(",\n"));
-    std::fs::create_dir_all("bench_results").expect("create bench_results");
-    let path = "bench_results/serve_loadgen.json";
-    std::fs::write(path, json).expect("write loadgen report");
-    println!("loadgen report: {path}");
-    if !pass {
-        std::process::exit(1);
-    }
+    report.gate("tiny-mlp paced throughput, max_batch 16 over 1", FLOOR, b16 / b1);
+    report.finish()
 }

@@ -13,14 +13,18 @@
 //! cheaper than the dense kernel's clamped one). Dense and sparse are
 //! timed in interleaved pairs and the gate reads the median per-pair
 //! ratio, so a host slowdown spanning a pair cancels out. Results land in
-//! `bench_results/sparse_speedup.json`; exits non-zero when the gate
-//! fails — `scripts/verify.sh` runs it as the sparse-deployment gate.
+//! `bench_results/sparse_speedup.json` ([`t2c_bench::report`]); exits
+//! non-zero when the gate fails — `scripts/verify.sh` runs it as the
+//! sparse-deployment gate.
 //!
 //! ```sh
 //! cargo run --release -p t2c-bench --bin sparse_speedup
 //! ```
 
+use std::process::ExitCode;
+
 use t2c_bench::paired_median;
+use t2c_bench::report::{Case, Report};
 use t2c_core::intmodel::{IntOp, LinearWeight};
 use t2c_core::IntModel;
 use t2c_tensor::{matmul_sparse_i, SparseMat, Tensor};
@@ -29,16 +33,8 @@ use t2c_tensor::{matmul_sparse_i, SparseMat, Tensor};
 const BATCH: usize = 256;
 /// Timed dense/sparse pairs (median-of); two warm-up pairs precede them.
 const REPS: usize = 9;
-
-struct ConfigResult {
-    model: &'static str,
-    layout: String,
-    sparsity: f64,
-    dense_ns: u64,
-    sparse_ns: u64,
-    speedup: f64,
-    bit_identical: bool,
-}
+/// Skip-zero over dense speedup floor at each sparsity point.
+const FLOOR: f64 = 1.5;
 
 /// The dense twin of a sparsified model: every compressed weight expanded
 /// back to its masked-dense codes.
@@ -59,7 +55,9 @@ fn fc1_weight(m: &IntModel) -> &SparseMat {
     mat
 }
 
-fn measure(model: &'static str, m: &IntModel, floor: f64) -> ConfigResult {
+/// Checks and times one sparsified model and records its case; returns
+/// its speedup.
+fn measure(report: &mut Report, model: &str, m: &IntModel) -> f64 {
     let sp = fc1_weight(m);
     let dense = sp.to_dense();
     // Pre-transpose outside the timed region: the deployed dense path pays
@@ -87,70 +85,26 @@ fn measure(model: &'static str, m: &IntModel, floor: f64) -> ConfigResult {
             std::hint::black_box(matmul_sparse_i(&xc, sp).expect("valid packed layout"));
         },
     );
-    let r = ConfigResult {
-        model,
-        layout: sp.layout_label(),
-        sparsity: f64::from(sp.sparsity()),
-        dense_ns: t.baseline_ns,
-        sparse_ns: t.candidate_ns,
-        speedup: t.speedup,
-        bit_identical: kernel_identical && model_identical,
-    };
-    println!(
-        "| {} | {} | {:.3} | {:.2} | {:.2} | {:.2}x (floor {floor:.2}x) | {} |",
-        r.model,
-        r.layout,
-        r.sparsity,
-        r.dense_ns as f64 / 1e6,
-        r.sparse_ns as f64 / 1e6,
-        r.speedup,
-        if r.bit_identical { "bit-identical" } else { "MISMATCH" }
+    let bit_identical = kernel_identical && model_identical;
+    report.case(
+        Case::new()
+            .with("model", model)
+            .with("layout", sp.layout_label())
+            .with("sparsity", f64::from(sp.sparsity()))
+            .paired("dense_ns", "sparse_ns", &t)
+            .with("bit_identical", bit_identical)
+            .pass(bit_identical),
     );
-    r
+    t.speedup
 }
 
-fn json_row(r: &ConfigResult) -> String {
-    format!(
-        "    {{\"model\": \"{}\", \"layout\": \"{}\", \"sparsity\": {:.4}, \
-         \"dense_ns\": {}, \"sparse_ns\": {}, \"speedup\": {:.3}, \"bit_identical\": {}}}",
-        r.model, r.layout, r.sparsity, r.dense_ns, r.sparse_ns, r.speedup, r.bit_identical
-    )
-}
-
-fn main() {
-    println!("| model | layout | sparsity | dense ms | sparse ms | speedup | identity |");
-    println!("|---|---|---|---|---|---|---|");
+fn main() -> ExitCode {
+    let mut report = Report::new("sparse_speedup");
     let (pruned, _) = t2c_core::zoo::tiny_mlp_pruned(0.8);
     let (nm, _) = t2c_core::zoo::tiny_mlp_nm(2, 4);
-    let unstructured = measure("tiny-mlp-pruned80", &pruned, 1.5);
-    let structured = measure("tiny-mlp-2of4", &nm, 1.5);
-
-    let pass = unstructured.speedup >= 1.5
-        && structured.speedup >= 1.5
-        && unstructured.bit_identical
-        && structured.bit_identical;
-    println!(
-        "\nskip-zero speedup: {:.2}x @ 80% unstructured, {:.2}x @ 2:4 — {}",
-        unstructured.speedup,
-        structured.speedup,
-        if pass { "pass" } else { "FAIL" }
-    );
-
-    let created = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let rows = [json_row(&unstructured), json_row(&structured)];
-    let json = format!(
-        "{{\n  \"version\": 1,\n  \"bench\": \"sparse_speedup\",\n  \"created_unix\": {created},\n  \"configs\": [\n{}\n  ],\n  \"unstructured_speedup\": {:.3},\n  \"nm_speedup\": {:.3},\n  \"pass\": {pass}\n}}\n",
-        rows.join(",\n"),
-        unstructured.speedup,
-        structured.speedup,
-    );
-    std::fs::create_dir_all("bench_results").expect("create bench_results");
-    let path = "bench_results/sparse_speedup.json";
-    std::fs::write(path, json).expect("write sparse speedup report");
-    println!("sparse speedup report: {path}");
-    if !pass {
-        std::process::exit(1);
-    }
+    let unstructured = measure(&mut report, "tiny-mlp-pruned80", &pruned);
+    let structured = measure(&mut report, "tiny-mlp-2of4", &nm);
+    report.gate("tiny-mlp-pruned80 speedup", FLOOR, unstructured);
+    report.gate("tiny-mlp-2of4 speedup", FLOOR, structured);
+    report.finish()
 }

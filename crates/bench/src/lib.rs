@@ -4,8 +4,13 @@
 //! `fig3_dualpath`, `fig4_vit`, `fig5_export`) that trains the relevant
 //! models on the synthetic substrate and prints the same rows/series the
 //! paper reports. `EXPERIMENTS.md` records paper-vs-measured for each.
+//! The gate benches share [`paired_median`], the [`report`] writer and
+//! the [`load`] driver.
 
 #![forbid(unsafe_code)]
+
+pub mod load;
+pub mod report;
 
 use std::time::Instant;
 
@@ -68,6 +73,20 @@ pub struct Paired {
     pub candidate_ns: u64,
     /// Median of the per-pair `baseline / candidate` ratios.
     pub speedup: f64,
+    /// 10th percentile of the per-pair ratios.
+    pub p10: f64,
+    /// 90th percentile of the per-pair ratios.
+    pub p90: f64,
+}
+
+/// The `p`-th percentile (0–100) of `sorted` by nearest rank; the default
+/// value when `sorted` is empty.
+pub fn percentile<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Times `baseline` against `candidate` over `reps` interleaved pairs,
@@ -107,7 +126,13 @@ pub fn paired_median(
     cand.sort_unstable();
     ratios.sort_unstable_by(f64::total_cmp);
     let mid = base.len() / 2;
-    Paired { baseline_ns: base[mid], candidate_ns: cand[mid], speedup: ratios[mid] }
+    Paired {
+        baseline_ns: base[mid],
+        candidate_ns: cand[mid],
+        speedup: ratios[mid],
+        p10: percentile(&ratios, 10.0),
+        p90: percentile(&ratios, 90.0),
+    }
 }
 
 /// Prints a Markdown-style table row.
@@ -133,6 +158,8 @@ mod tests {
         assert_eq!((b, c), (7, 7), "two warm-up pairs, then five timed pairs");
         assert!(p.baseline_ns > p.candidate_ns);
         assert!(p.speedup > 1.0);
+        assert!(p.p10 <= p.speedup && p.speedup <= p.p90, "{p:?}");
+        assert!(p.p10 > 1.0);
     }
 
     #[test]
